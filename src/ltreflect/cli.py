@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data, trainer
-from .errors import FormatError, NumericError, ParameterError, StateError
+from .errors import DimensionError, FormatError, NumericError, ParameterError, StateError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,86 +71,42 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_train_flags(p: argparse.ArgumentParser, components: bool = True) -> None:
+    """--data, --test-data and the TRAIN_FLAGS; bool switches only with `components`."""
+    defaults = trainer.TrainConfig()
     p.add_argument("--data", required=True, help="train dataset file")
     p.add_argument("--test-data", default=None, help="test dataset file (default: <data stem>.test<ext>)")
-    p.add_argument("--ltr", choices=["ce", "bsce"], default="ce")
-    if components:
-        p.add_argument("--kr", action="store_true", help="enable review distillation")
-        p.add_argument("--ks", action="store_true", help="enable similarity soft labels")
-        p.add_argument("--kc", action="store_true", help="enable conflict projection")
-        p.add_argument("--mse-ablation", action="store_true",
-                       help="replace the review KL with direct logit MSE")
-    p.add_argument("--tau", type=float, default=2.0)
-    p.add_argument("--alpha", type=float, default=0.9)
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sigma-aug", type=float, default=0.0)
-    p.add_argument("--hidden", type=int, default=32, help="hidden width (0 = linear model)")
+    for flag, name, kind, help_text in trainer.TRAIN_FLAGS:
+        if kind is bool:
+            if components:
+                p.add_argument(flag, action="store_true", help=help_text)
+        else:
+            choices = trainer.LTR_LOSSES if name == "ltr_loss" else None
+            p.add_argument(flag, type=kind, choices=choices, default=getattr(defaults, name), help=help_text)
 
 
 def _config_from_args(args) -> trainer.TrainConfig:
-    return trainer.TrainConfig(
-        ltr_loss=args.ltr,
-        use_kr=getattr(args, "kr", False),
-        use_ks=getattr(args, "ks", False),
-        use_kc=getattr(args, "kc", False),
-        use_mse_ablation=getattr(args, "mse_ablation", False),
-        tau=args.tau,
-        alpha=args.alpha,
-        epochs=args.epochs,
-        batch_size=args.batch,
-        lr=args.lr,
-        momentum=args.momentum,
-        sigma_aug=args.sigma_aug,
-        seed=args.seed,
-        hidden_dim=args.hidden,
-    )
-
-
-def train_echo(cfg: trainer.TrainConfig, data_path, out_dir, test_path=None) -> str:
-    """The resolved flag line; feeding it back reproduces the run."""
-    parts = ["train", "--data", str(data_path), "--out", str(out_dir), "--ltr", cfg.ltr_loss]
-    for flag, on in (
-        ("--kr", cfg.use_kr),
-        ("--ks", cfg.use_ks),
-        ("--kc", cfg.use_kc),
-        ("--mse-ablation", cfg.use_mse_ablation),
-    ):
-        if on:
-            parts.append(flag)
-    parts += [
-        "--tau", repr(cfg.tau),
-        "--alpha", repr(cfg.alpha),
-        "--epochs", str(cfg.epochs),
-        "--batch", str(cfg.batch_size),
-        "--lr", repr(cfg.lr),
-        "--momentum", repr(cfg.momentum),
-        "--seed", str(cfg.seed),
-        "--sigma-aug", repr(cfg.sigma_aug),
-        "--hidden", str(cfg.hidden_dim),
-    ]
-    if test_path is not None:
-        parts += ["--test-data", str(test_path)]
-    return shlex.join(parts)
+    """TrainConfig from the parsed TRAIN_FLAGS; flags the parser lacks keep their defaults."""
+    values = vars(args)
+    dests = {name: flag[2:].replace("-", "_") for flag, name, _, _ in trainer.TRAIN_FLAGS}
+    return trainer.TrainConfig(**{name: values[d] for name, d in dests.items() if d in values})
 
 
 def cmd_synth(args) -> int:
     counts = data.longtail_counts(args.classes, args.n_max, args.imbalance_factor)
+    if args.test_size < 1:
+        raise ParameterError(f"--test-size must be >= 1, got {args.test_size}")
     if args.pairs < 0 or 2 * args.pairs > args.classes:
         raise ParameterError(f"--pairs must be in [0, {args.classes // 2}]")
     pairs = [(i, args.classes // 2 + i, args.overlap) for i in range(args.pairs)]
     train = data.synth_gaussians(
         args.classes, args.dim, counts,
         class_sep=args.class_sep, noise_sigma=args.noise,
-        similarity_pairs=pairs, seed=args.seed, name="train",
+        similarity_pairs=pairs, seed=args.seed,
     )
     test = data.synth_gaussians(
         args.classes, args.dim, np.full(args.classes, args.test_size, dtype=np.int64),
         class_sep=args.class_sep, noise_sigma=args.noise,
-        similarity_pairs=pairs, seed=args.seed, noise_seed=args.seed + 1, name="test",
+        similarity_pairs=pairs, seed=args.seed, noise_seed=args.seed + 1,
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -183,7 +139,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
-    echo = train_echo(cfg, args.data, args.out, args.test_data)
+    echo = trainer.train_echo(cfg, args.data, args.out, args.test_data)
     print(echo)
     summary = trainer.run_experiment(
         cfg, args.data, args.out, test_path=args.test_data, echo=echo
@@ -288,13 +244,11 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        if getattr(args, "kr", False) and getattr(args, "mse_ablation", False):
-            raise ParameterError("--kr conflicts with --mse-ablation")
         return args.func(args)
     except ParameterError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (FormatError, StateError, NumericError, OSError, FileNotFoundError) as exc:
+    except (DimensionError, FormatError, StateError, NumericError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

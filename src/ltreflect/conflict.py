@@ -60,30 +60,19 @@ def cos_angle(a, b) -> float:
     return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
 
 
-def project_away(g_aux: np.ndarray, g_ltr: np.ndarray, literal_cos: bool = False) -> np.ndarray:
-    """Remove from g_aux its component along g_ltr.
-
-    The default coefficient is the standard plane projection
-    (g_aux . g_ltr) / ||g_ltr||^2. literal_cos=True instead scales by
-    cos(g_aux, g_ltr) / ||g_ltr||^2, an alternative form that does not
-    produce an orthogonal result; it is kept only for comparison.
-    """
-    sq = float(g_ltr @ g_ltr)
-    if literal_cos:
-        coef = cos_angle(g_aux, g_ltr) / sq
-    else:
-        coef = float(g_aux @ g_ltr) / sq
+def project_away(g_aux: np.ndarray, g_ltr: np.ndarray) -> np.ndarray:
+    """Remove from g_aux its component along g_ltr: the plane projection
+    with coefficient (g_aux . g_ltr) / ||g_ltr||^2."""
+    coef = float(g_aux @ g_ltr) / float(g_ltr @ g_ltr)
     return g_aux - coef * g_ltr
 
 
-def project_if_conflict(
-    pair: GradPair, literal_cos: bool = False
-) -> tuple[np.ndarray, bool]:
+def project_if_conflict(pair: GradPair) -> tuple[np.ndarray, bool]:
     """Combined update: project g_aux off g_ltr when their cosine is
     negative, then add g_ltr; otherwise the plain sum, bit-for-bit.
     A near-zero g_ltr never triggers projection (cos is defined as 0)."""
     if cos_angle(pair.g_aux, pair.g_ltr) < 0:
-        corrected = project_away(pair.g_aux, pair.g_ltr, literal_cos=literal_cos)
+        corrected = project_away(pair.g_aux, pair.g_ltr)
         return corrected + pair.g_ltr, True
     return pair.g_aux + pair.g_ltr, False
 

@@ -9,7 +9,7 @@ File format (little-endian):
     offset 16  u32     C   (class count)
     offset 20  f32     N*D features, row-major
     ...        u32     N labels
-    ...        u32     C class counts
+    ...        u32     C class counts (each >= 1, non-increasing)
 
 Features are held as float32 in memory so that a save/load round trip is
 bit-exact; training code promotes to float64 at the batch level.
@@ -28,13 +28,16 @@ MAGIC = b"LTDS"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIII")
 
+# Evaluation buckets by training count: many > 100, few < 20, medium otherwise.
+MANY_THRESHOLD = 100
+FEW_THRESHOLD = 20
+
 
 @dataclass
 class Dataset:
     features: np.ndarray  # float32 [N, D]
     labels: np.ndarray  # int64 [N], values in [0, C)
     class_counts: np.ndarray  # int64 [C], non-increasing
-    name: str = ""
 
     def __post_init__(self):
         self.features = np.ascontiguousarray(self.features, dtype=np.float32)
@@ -66,19 +69,6 @@ class Dataset:
         return self.class_counts.shape[0]
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    many_threshold: int = 100
-    few_threshold: int = 20
-
-    def __post_init__(self):
-        if not (self.many_threshold > self.few_threshold > 0):
-            raise ParameterError(
-                f"need many_threshold > few_threshold > 0, got "
-                f"{self.many_threshold}, {self.few_threshold}"
-            )
-
-
 def longtail_counts(num_classes: int, n_max: int, imbalance_factor: float) -> np.ndarray:
     """Exponential count profile n_j = round(n_max * IF^(-(j-1)/(C-1))), min 1."""
     if num_classes < 2:
@@ -92,14 +82,14 @@ def longtail_counts(num_classes: int, n_max: int, imbalance_factor: float) -> np
     return np.maximum(1, np.floor(raw + 0.5).astype(np.int64))
 
 
-def split_classes(class_counts, spec: SplitSpec = SplitSpec()) -> dict[str, np.ndarray]:
-    """Partition class indices into many (> many_threshold), few (< few_threshold), medium."""
+def split_classes(class_counts) -> dict[str, np.ndarray]:
+    """Partition class indices into many (> MANY_THRESHOLD), few (< FEW_THRESHOLD), medium."""
     counts = np.asarray(class_counts)
     if counts.size == 0:
         raise ParameterError("class counts must be non-empty")
     idx = np.arange(counts.size)
-    many = counts > spec.many_threshold
-    few = counts < spec.few_threshold
+    many = counts > MANY_THRESHOLD
+    few = counts < FEW_THRESHOLD
     return {
         "many": idx[many],
         "medium": idx[~many & ~few],
@@ -133,7 +123,6 @@ def synth_gaussians(
     similarity_pairs=(),
     seed: int = 0,
     noise_seed: int | None = None,
-    name: str = "synth",
 ) -> Dataset:
     """Per-class Gaussian blobs at seeded unit-norm centers scaled by class_sep.
 
@@ -159,12 +148,7 @@ def synth_gaussians(
     feats = centers[labels].copy()
     if noise_sigma > 0:
         feats += noise_rng.normal(scale=noise_sigma, size=(labels.size, dim))
-    return Dataset(
-        features=feats.astype(np.float32),
-        labels=labels,
-        class_counts=counts,
-        name=name,
-    )
+    return Dataset(features=feats.astype(np.float32), labels=labels, class_counts=counts)
 
 
 def augment(batch, sigma_aug: float, seed) -> np.ndarray:
@@ -192,7 +176,7 @@ def save_dataset(dataset: Dataset, path) -> None:
         fh.write(dataset.class_counts.astype("<u4").tobytes())
 
 
-def load_dataset(path, name: str | None = None) -> Dataset:
+def load_dataset(path) -> Dataset:
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER.size:
@@ -223,9 +207,8 @@ def load_dataset(path, name: str | None = None) -> Dataset:
         raise FormatError("class counts disagree with label frequencies", count_off)
     if np.any(np.diff(counts) > 0):
         raise FormatError("class counts are not non-increasing", count_off)
-    return Dataset(
-        features=feats.copy(),
-        labels=labels,
-        class_counts=counts,
-        name=name if name is not None else str(path),
-    )
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        # a class with no samples has no median center, which KS and BSCE need
+        raise FormatError(f"class {empty[0]} has count 0", count_off + 4 * int(empty[0]))
+    return Dataset(features=feats.copy(), labels=labels, class_counts=counts)

@@ -20,14 +20,12 @@ _ZERO_NORM = 1e-12
 class EpochCache:
     prev_logits: np.ndarray  # [N, C], rows indexed by dataset position
     correct_mask: np.ndarray  # bool [N]: argmax(prev_logits) == label when cached
-    epoch_index: int
 
 
-def empty_cache(num_samples: int, num_classes: int, epoch_index: int) -> EpochCache:
+def empty_cache(num_samples: int, num_classes: int) -> EpochCache:
     return EpochCache(
         prev_logits=np.zeros((num_samples, num_classes)),
         correct_mask=np.zeros(num_samples, dtype=bool),
-        epoch_index=epoch_index,
     )
 
 
@@ -114,7 +112,6 @@ class ClassCenters:
 class SoftLabels:
     M: np.ndarray  # [C, C] cosine similarity of class centers
     y_hat: np.ndarray  # [C, C] reconstructed soft targets, row r for class r
-    alpha: float
 
 
 def class_centers_median(features_by_class) -> ClassCenters:
@@ -149,42 +146,35 @@ def similarity_matrix(centers: ClassCenters) -> np.ndarray:
     return m
 
 
-def reconstruct_labels(similarity, alpha: float, normalize: bool = False) -> np.ndarray:
+def reconstruct_labels(similarity, alpha: float) -> np.ndarray:
     """Soft targets alpha * I + (1 - alpha) * M; row r supervises class r.
 
-    The affine combination leaves row sums above 1 whenever M has positive
-    off-diagonal mass; normalize=True rescales each row to unit mass,
-    normalize=False keeps the combination as written.
+    The affine combination is kept as written: row sums exceed 1 whenever
+    M has positive off-diagonal mass.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ParameterError(f"alpha must be in [0, 1], got {alpha}")
     m = np.asarray(similarity, dtype=np.float64)
-    y_hat = alpha * np.eye(m.shape[0]) + (1.0 - alpha) * m
-    if normalize:
-        y_hat = y_hat / y_hat.sum(axis=1, keepdims=True)
-    return y_hat
+    return alpha * np.eye(m.shape[0]) + (1.0 - alpha) * m
 
 
-def build_soft_labels(centers: ClassCenters, alpha: float, normalize: bool = False) -> SoftLabels:
+def build_soft_labels(centers: ClassCenters, alpha: float) -> SoftLabels:
     m = similarity_matrix(centers)
-    return SoftLabels(M=m, y_hat=reconstruct_labels(m, alpha, normalize=normalize), alpha=alpha)
+    return SoftLabels(M=m, y_hat=reconstruct_labels(m, alpha))
 
 
-def per_class_adjacent_kl(
-    prev_logits, cur_logits, labels, tau: float = 1.0, num_classes: int | None = None
-) -> np.ndarray:
+def per_class_adjacent_kl(prev_logits, cur_logits, labels, num_classes: int) -> np.ndarray:
     """Mean KL(prev || cur) per ground-truth class; NaN for absent classes."""
     prev = np.asarray(prev_logits, dtype=np.float64)
     cur = np.asarray(cur_logits, dtype=np.float64)
     lab = np.asarray(labels)
     if prev.shape != cur.shape:
         raise DimensionError(f"logit shapes differ: {prev.shape} vs {cur.shape}")
-    c = num_classes if num_classes is not None else int(lab.max()) + 1
-    out = np.full(c, np.nan)
-    for cls in range(c):
+    out = np.full(num_classes, np.nan)
+    for cls in range(num_classes):
         rows = lab == cls
         if rows.any():
-            out[cls] = kl_distill(prev[rows], cur[rows], tau).value
+            out[cls] = kl_distill(prev[rows], cur[rows]).value
     return out
 
 

@@ -7,13 +7,16 @@ from __future__ import annotations
 
 import csv
 import json
+import shlex
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import conflict, data, losses, nn, reflect
-from .errors import NumericError, ParameterError
+from .errors import DimensionError, NumericError, ParameterError
+
+LTR_LOSSES = ("ce", "bsce")
 
 METRIC_COLUMNS = [
     "epoch",
@@ -44,10 +47,9 @@ class TrainConfig:
     sigma_aug: float = 0.0
     seed: int = 0
     hidden_dim: int = 32  # 0 = linear classifier
-    normalize_soft_labels: bool = False  # rescale soft-target rows to unit mass
 
     def __post_init__(self):
-        if self.ltr_loss not in ("ce", "bsce"):
+        if self.ltr_loss not in LTR_LOSSES:
             raise ParameterError(f"ltr_loss must be 'ce' or 'bsce', got {self.ltr_loss!r}")
         if self.use_mse_ablation and self.use_kr:
             raise ParameterError("use_mse_ablation excludes use_kr")
@@ -65,6 +67,40 @@ class TrainConfig:
             raise ParameterError(f"sigma_aug must be >= 0, got {self.sigma_aug}")
         if self.hidden_dim < 0:
             raise ParameterError(f"hidden_dim must be >= 0, got {self.hidden_dim}")
+
+
+# Every TrainConfig field as a `train` flag: (flag, field, type, help), in
+# the order train_echo writes them. bool fields are on/off switches.
+TRAIN_FLAGS = (
+    ("--ltr", "ltr_loss", str, None),
+    ("--kr", "use_kr", bool, "enable review distillation"),
+    ("--ks", "use_ks", bool, "enable similarity soft labels"),
+    ("--kc", "use_kc", bool, "enable conflict projection"),
+    ("--mse-ablation", "use_mse_ablation", bool, "replace the review KL with direct logit MSE"),
+    ("--tau", "tau", float, None),
+    ("--alpha", "alpha", float, None),
+    ("--epochs", "epochs", int, None),
+    ("--batch", "batch_size", int, None),
+    ("--lr", "lr", float, None),
+    ("--momentum", "momentum", float, None),
+    ("--seed", "seed", int, None),
+    ("--sigma-aug", "sigma_aug", float, None),
+    ("--hidden", "hidden_dim", int, "hidden width (0 = linear model)"),
+)
+
+
+def train_echo(cfg: TrainConfig, data_path, out_dir, test_path=None) -> str:
+    """The resolved `train` flag line; feeding it back reproduces the run."""
+    parts = ["train", "--data", str(data_path), "--out", str(out_dir)]
+    for flag, name, kind, _ in TRAIN_FLAGS:
+        value = getattr(cfg, name)
+        if kind is not bool:
+            parts += [flag, str(value)]
+        elif value:
+            parts.append(flag)
+    if test_path is not None:
+        parts += ["--test-data", str(test_path)]
+    return shlex.join(parts)
 
 
 @dataclass
@@ -90,7 +126,6 @@ class TrainerState:
     augment_rng: np.random.Generator
     epoch: int = 0
     cache: reflect.EpochCache | None = None
-    centers: reflect.ClassCenters | None = None
     soft_labels: reflect.SoftLabels | None = None
 
 
@@ -154,7 +189,7 @@ def train_epoch(
     n = dataset.num_samples
     lr = cfg.lr * (1.0 - state.epoch / cfg.epochs)
     order = state.shuffle_rng.permutation(n)
-    next_cache = reflect.empty_cache(n, dataset.num_classes, state.epoch)
+    next_cache = reflect.empty_cache(n, dataset.num_classes)
     store = reflect.FeatureStore(dataset.num_classes)
     spans = state.params.layer_spans()
     layer_hits = np.zeros(len(spans))
@@ -220,13 +255,10 @@ def train_epoch(
         batches += 1
 
     state.cache = next_cache
-    state.centers = reflect.class_centers_median(store.drain())
-    if state.centers.valid.all():
-        state.soft_labels = reflect.build_soft_labels(
-            state.centers, cfg.alpha, normalize=cfg.normalize_soft_labels
-        )
-    else:
-        state.soft_labels = None
+    centers = reflect.class_centers_median(store.drain())
+    state.soft_labels = (
+        reflect.build_soft_labels(centers, cfg.alpha) if centers.valid.all() else None
+    )
 
     metrics = EpochMetrics(
         epoch=state.epoch,
@@ -310,6 +342,11 @@ def run_experiment(
         raise FileNotFoundError(f"test dataset file not found: {tp}")
     train = data.load_dataset(train_path)
     test = data.load_dataset(tp)
+    if (test.dim, test.num_classes) != (train.dim, train.num_classes):
+        raise DimensionError(
+            f"train set {train_path} has {train.dim} dims and {train.num_classes} classes, "
+            f"test set {tp} has {test.dim} dims and {test.num_classes} classes"
+        )
     split = data.split_classes(train.class_counts)
 
     out = Path(out_dir)
@@ -381,9 +418,9 @@ def run_ablation_grid(
         finals = []
         for seed in seeds:
             cfg = replace(base_cfg, use_kr=kr, use_ks=ks, use_kc=kc, seed=seed)
-            summary = run_experiment(
-                cfg, dataset_path, out / cell_name / f"seed{seed}", test_path=test_path
-            )
+            run_dir = out / cell_name / f"seed{seed}"
+            echo = train_echo(cfg, dataset_path, run_dir, test_path)
+            summary = run_experiment(cfg, dataset_path, run_dir, test_path=test_path, echo=echo)
             finals.append(summary["final"])
         row = {"kr": int(kr), "ks": int(ks), "kc": int(kc), "seeds": len(finals)}
         for key in ("acc_all", "acc_many", "acc_medium", "acc_few"):

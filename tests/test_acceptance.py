@@ -232,7 +232,7 @@ def test_criterion_04_cci_zero_rows_full_epoch(report):
     rng = np.random.default_rng(37)
     n, c = 64, 4
     labels = rng.integers(0, c, size=n)
-    cache = reflect.empty_cache(n, c, epoch_index=0)
+    cache = reflect.empty_cache(n, c)
     logits = rng.normal(size=(n, c))
     # force exactly half the cached rows wrong: even rows right, odd rows wrong
     for i in range(n):

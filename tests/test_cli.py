@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import shlex
 
 import numpy as np
+import pytest
 
 from ltreflect import cli, data, trainer
 
@@ -97,8 +99,37 @@ def test_echo_round_trips_to_the_same_config(tmp_path):
     parser = cli.build_parser()
     args = parser.parse_args(shlex.split(echo))
     cfg = cli._config_from_args(args)
-    reparsed_echo = cli.train_echo(cfg, args.data, args.out, args.test_data)
+    reparsed_echo = trainer.train_echo(cfg, args.data, args.out, args.test_data)
     assert reparsed_echo == echo
+
+
+# One valid non-default value per TrainConfig field; a field missing here
+# (or from TRAIN_FLAGS) fails the round trip below.
+NON_DEFAULT = {
+    "ltr_loss": "bsce",
+    "use_kr": True,
+    "use_ks": True,
+    "use_kc": True,
+    "use_mse_ablation": True,
+    "tau": 3.5,
+    "alpha": 0.25,
+    "epochs": 7,
+    "batch_size": 9,
+    "lr": 0.125,
+    "momentum": 0.5,
+    "sigma_aug": 0.3,
+    "seed": 11,
+    "hidden_dim": 0,
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(trainer.TrainConfig)])
+def test_echo_round_trips_every_config_field(name):
+    assert getattr(trainer.TrainConfig(), name) != NON_DEFAULT[name]
+    cfg = trainer.TrainConfig(**{name: NON_DEFAULT[name]})
+    echo = trainer.train_echo(cfg, "d.ltds", "out", "t.ltds")
+    args = cli.build_parser().parse_args(shlex.split(echo))
+    assert cli._config_from_args(args) == cfg
 
 
 def test_train_with_mse_ablation_flag(tmp_path):
@@ -134,6 +165,73 @@ def test_ablate_runs_grid(tmp_path, capsys):
     lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("kr=")]
     assert len(lines) == 8
     assert (tmp_path / "grid" / "ablation.csv").exists()
+
+
+def test_ablate_cell_echo_reproduces_the_cell(tmp_path):
+    path = synth_tiny(tmp_path)
+    grid = tmp_path / "grid"
+    assert run(["ablate", "--data", str(path), "--out", str(grid), "--epochs", "3",
+                "--batch", "16", "--hidden", "8", "--seed", "2", "--sigma-aug", "0.1"]) == 0
+    cell = grid / "kr1_ks1_kc1" / "seed2"
+    echo = (cell / "config.echo").read_text().strip()
+    assert json.loads((cell / "summary.json").read_text())["echo"] == echo
+    names = ("metrics.csv", "conflicts.csv", "class_kl.csv")
+    before = {name: (cell / name).read_bytes() for name in names}
+    argv = shlex.split(echo)
+    replay = tmp_path / "replay"
+    argv[argv.index("--out") + 1] = str(replay)
+    assert run(argv) == 0
+    for name in names:
+        assert (replay / name).read_bytes() == before[name], name
+
+
+# --- bad datasets ------------------------------------------------------------------------
+
+
+def write_zero_count_pair(tmp_path):
+    """A train set whose last class has no samples, and its test set."""
+    rng = np.random.default_rng(0)
+    counts = np.array([12, 6, 0])
+    train_ds = data.Dataset(rng.normal(size=(18, 4)), np.repeat(np.arange(3), counts), counts)
+    test_counts = np.array([4, 4, 4])
+    test_ds = data.Dataset(rng.normal(size=(12, 4)), np.repeat(np.arange(3), test_counts),
+                           test_counts)
+    path = tmp_path / "zero.ltds"
+    data.save_dataset(train_ds, path)
+    data.save_dataset(test_ds, trainer.default_test_path(path))
+    return path
+
+
+@pytest.mark.parametrize("flags", [["--ks"], ["--ltr", "bsce"]])
+def test_zero_count_class_is_runtime_error(tmp_path, capsys, flags):
+    path = write_zero_count_pair(tmp_path)
+    code = run(["train", "--data", str(path), "--out", str(tmp_path / "o"), "--epochs", "2",
+                *flags])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: class 2 has count 0")
+    assert not (tmp_path / "o").exists()
+
+
+def test_synth_rejects_empty_test_classes(tmp_path):
+    assert run(["synth", "--test-size", "0", "--out", str(tmp_path / "x.ltds")]) == 2
+    assert not (tmp_path / "x.ltds").exists()
+
+
+def test_mismatched_train_test_pair_is_runtime_error(tmp_path, capsys):
+    path = synth_tiny(tmp_path)
+    other = tmp_path / "wide.ltds"
+    assert run(shlex.split(SYNTH.format(out=other).replace("--dim 6", "--dim 7"))) == 0
+    capsys.readouterr()
+    test_path = trainer.default_test_path(other)
+    code = run(["train", "--data", str(path), "--test-data", str(test_path),
+                "--out", str(tmp_path / "o"), "--epochs", "1"])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(path) in err[0] and str(test_path) in err[0]
+    assert "6 dims and 5 classes" in err[0] and "7 dims and 5 classes" in err[0]
+    assert not (tmp_path / "o").exists()
 
 
 # --- analyze ------------------------------------------------------------------------------

@@ -95,17 +95,6 @@ def test_projection_invariants(seed):
     assert np.linalg.norm((again - pair.g_ltr) - corrected) <= 1e-9 * max(n_corr, 1e-30)
 
 
-def test_literal_coefficient_variant_runs():
-    rng = np.random.default_rng(7)
-    pair = random_conflicting_pair(rng)
-    g_rl, conflicted = project_if_conflict(pair, literal_cos=True)
-    assert conflicted
-    assert np.isfinite(g_rl).all()
-    # no orthogonality claim for this variant; it differs from the default
-    default_rl, _ = project_if_conflict(pair)
-    assert not np.allclose(g_rl, default_rl)
-
-
 # --- per-layer statistics -------------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,6 +212,53 @@ def test_load_rejects_count_mismatch(tmp_path):
     with pytest.raises(FormatError) as err:
         data.load_dataset(path)
     assert err.value.offset == count_off
+
+
+def test_load_rejects_zero_count_class(tmp_path):
+    ds = data.Dataset(np.zeros((5, 2)), [0, 0, 0, 1, 1], [3, 2, 0, 0])
+    path = tmp_path / "ds.ltds"
+    data.save_dataset(ds, path)
+    with pytest.raises(FormatError) as err:
+        data.load_dataset(path)
+    count_off = 20 + 4 * 5 * 2 + 4 * 5
+    assert err.value.offset == count_off + 4 * 2
+    assert "class 2 has count 0" in str(err.value)
+
+
+def _valid_blob():
+    counts = data.longtail_counts(3, 6, 3.0)
+    ds = data.synth_gaussians(3, 2, counts, 4.0, 1.0, seed=1)
+    header = struct.pack("<4sIIII", b"LTDS", 1, ds.num_samples, ds.dim, ds.num_classes)
+    return (
+        header
+        + ds.features.astype("<f4").tobytes()
+        + ds.labels.astype("<u4").tobytes()
+        + ds.class_counts.astype("<u4").tobytes()
+    )
+
+
+VALID_BLOB = _valid_blob()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, len(VALID_BLOB) - 1), st.integers(0, 255)), max_size=6),
+    st.integers(0, len(VALID_BLOB)),
+)
+def test_load_fuzzed_bytes_loads_or_raises_format_error(tmp_path_factory, edits, keep):
+    """Byte edits plus truncation of a valid file: the loader either returns
+    a dataset that holds the format's invariants or raises FormatError."""
+    blob = bytearray(VALID_BLOB)
+    for offset, value in edits:
+        blob[offset] = value
+    path = tmp_path_factory.mktemp("fuzz") / "ds.ltds"
+    path.write_bytes(bytes(blob[:keep]))
+    try:
+        ds = data.load_dataset(path)
+    except FormatError:
+        return
+    assert (ds.class_counts > 0).all()
+    assert ds.class_counts.sum() == ds.num_samples
 
 
 def test_dataset_invariants_rejected_in_memory():

@@ -13,7 +13,7 @@ from ltreflect.errors import ParameterError, StateError
 
 
 def test_cache_marks_correct_rows():
-    cache = reflect.empty_cache(4, 3, epoch_index=0)
+    cache = reflect.empty_cache(4, 3)
     logits = np.array([[3.0, 0.0, 0.0], [0.0, 1.0, 5.0]])
     reflect.cache_update(cache, [0, 2], logits, np.array([0, 2]))
     assert cache.correct_mask[0] and cache.correct_mask[2]
@@ -22,13 +22,13 @@ def test_cache_marks_correct_rows():
 
 
 def test_cache_all_wrong_batch():
-    cache = reflect.empty_cache(2, 2, epoch_index=0)
+    cache = reflect.empty_cache(2, 2)
     reflect.cache_update(cache, [0, 1], np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1, 0]))
     assert not cache.correct_mask.any()
 
 
 def test_cache_argmax_tie_breaks_low():
-    cache = reflect.empty_cache(2, 3, epoch_index=0)
+    cache = reflect.empty_cache(2, 3)
     tied = np.array([[2.0, 2.0, 0.0], [2.0, 2.0, 0.0]])
     reflect.cache_update(cache, [0, 1], tied, np.array([0, 1]))
     assert cache.correct_mask[0]  # class 0 wins the tie
@@ -36,7 +36,7 @@ def test_cache_argmax_tie_breaks_low():
 
 
 def test_cache_rejects_out_of_range_index():
-    cache = reflect.empty_cache(2, 2, epoch_index=0)
+    cache = reflect.empty_cache(2, 2)
     with pytest.raises(ParameterError):
         reflect.cache_update(cache, [5], np.zeros((1, 2)), np.array([0]))
 
@@ -45,14 +45,14 @@ def test_cache_rejects_out_of_range_index():
 
 
 def test_kr_empty_filter_returns_zero():
-    cache = reflect.empty_cache(3, 2, epoch_index=0)  # mask all False
+    cache = reflect.empty_cache(3, 2)  # mask all False
     out = reflect.kr_batch_loss(cache, [0, 1, 2], np.ones((3, 2)), tau=2.0)
     assert out.value == 0.0
     assert np.array_equal(out.dlogits, np.zeros((3, 2)))
 
 
 def test_kr_zero_when_current_matches_cache():
-    cache = reflect.empty_cache(2, 2, epoch_index=0)
+    cache = reflect.empty_cache(2, 2)
     logits = np.array([[4.0, 0.0], [0.0, 4.0]])
     reflect.cache_update(cache, [0, 1], logits, np.array([0, 1]))
     out = reflect.kr_batch_loss(cache, [0, 1], logits, tau=2.0)
@@ -60,7 +60,7 @@ def test_kr_zero_when_current_matches_cache():
 
 
 def test_kr_averages_over_qualifying_rows_only():
-    cache = reflect.empty_cache(2, 2, epoch_index=0)
+    cache = reflect.empty_cache(2, 2)
     prev = np.array([[80.0, 0.0], [0.0, 80.0]])
     reflect.cache_update(cache, [0, 1], prev, np.array([0, 0]))  # row 1 wrong
     cur = np.zeros((2, 2))  # uniform
@@ -78,7 +78,7 @@ def test_kr_requires_cache():
 def test_kr_gradient_rows_exactly_zero_outside_filter(seed):
     rng = np.random.default_rng(seed)
     n, c = 12, 4
-    cache = reflect.empty_cache(n, c, epoch_index=0)
+    cache = reflect.empty_cache(n, c)
     logits = rng.normal(size=(n, c))
     labels = rng.integers(0, c, size=n)
     reflect.cache_update(cache, np.arange(n), logits, labels)
@@ -90,7 +90,7 @@ def test_kr_gradient_rows_exactly_zero_outside_filter(seed):
 
 
 def test_mse_batch_loss_same_filter():
-    cache = reflect.empty_cache(2, 2, epoch_index=0)
+    cache = reflect.empty_cache(2, 2)
     prev = np.array([[1.0, 0.0], [0.0, 1.0]])
     reflect.cache_update(cache, [0, 1], prev, np.array([0, 0]))
     out = reflect.mse_batch_loss(cache, [0, 1], np.zeros((2, 2)))
@@ -203,14 +203,6 @@ def test_reconstruct_alpha_extremes_and_midpoint():
 def test_reconstruct_rejects_bad_alpha():
     with pytest.raises(ParameterError):
         reflect.reconstruct_labels(np.eye(2), 1.5)
-
-
-def test_reconstruct_normalize_switch():
-    m = np.array([[1.0, 0.6, 0.2], [0.6, 1.0, 0.4], [0.2, 0.4, 1.0]])
-    raw = reflect.reconstruct_labels(m, 0.8)
-    normed = reflect.reconstruct_labels(m, 0.8, normalize=True)
-    assert np.allclose(normed.sum(axis=1), 1.0, atol=1e-12)
-    assert np.allclose(normed * raw.sum(axis=1, keepdims=True), raw, atol=1e-12)
 
 
 def test_feature_store_drains_and_resets():
