@@ -95,6 +95,8 @@ def cmd_synth(args) -> int:
     counts = data.longtail_counts(args.classes, args.n_max, args.imbalance_factor)
     if args.test_size < 1:
         raise ParameterError(f"--test-size must be >= 1, got {args.test_size}")
+    if not args.noise >= 0:
+        raise ParameterError(f"--noise must be >= 0, got {args.noise}")
     if args.pairs < 0 or 2 * args.pairs > args.classes:
         raise ParameterError(f"--pairs must be in [0, {args.classes // 2}]")
     pairs = [(i, args.classes // 2 + i, args.overlap) for i in range(args.pairs)]

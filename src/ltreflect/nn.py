@@ -1,13 +1,16 @@
-"""Minimal dense classifiers: linear or one hidden rectifier layer.
+"""Minimal dense classifiers: linear (one layer) or one hidden rectifier
+layer (two layers); the number of layers decides the path.
 
-Forward/backward are written out analytically; gradients are exposed as a
-single flat vector whose layout follows the layer order (weight then bias
-per layer), which is what the conflict-projection step operates on.
+Every parameter lives in one flat float64 vector, `ModelParams.flat`, and
+each layer's (weight, bias) is a view into it, laid out in layer order
+(weight then bias per layer). Forward/backward are written out
+analytically; gradients come back as flat vectors in the same layout, so
+the conflict-projection step and the SGD update act on whole vectors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,23 +19,28 @@ from .errors import DimensionError, NumericError, ParameterError
 
 @dataclass
 class ModelParams:
+    """All parameters in one flat vector; `layers` are (weight, bias) views into it."""
+
     layers: list[tuple[np.ndarray, np.ndarray]]  # (weight [out, in], bias [out])
-    hidden_dim: int  # 0 = linear model
+    flat: np.ndarray = field(init=False, repr=False)  # laid out as layer_spans()
 
     def __post_init__(self):
         self.layers = [
             (np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64))
             for w, b in self.layers
         ]
-        prev_out = None
+        if len(self.layers) not in (1, 2):
+            raise DimensionError(f"a model has 1 or 2 layers, got {len(self.layers)}")
         for w, b in self.layers:
             if w.ndim != 2 or b.shape != (w.shape[0],):
                 raise DimensionError(f"bad layer shapes {w.shape} / {b.shape}")
-            if prev_out is not None and w.shape[1] != prev_out:
-                raise DimensionError(
-                    f"layer input width {w.shape[1]} does not chain from {prev_out}"
-                )
-            prev_out = w.shape[0]
+        if len(self.layers) == 2:
+            (w0, _), (w1, _) = self.layers
+            if w1.shape[1] != w0.shape[0]:
+                raise DimensionError(f"layer input width {w1.shape[1]} does not chain from {w0.shape[0]}")
+        self.flat = np.concatenate([np.concatenate([w.ravel(), b]) for w, b in self.layers])
+        views = iter(self.flat[start : start + size] for _, start, size in self.layer_spans())
+        self.layers = [(next(views).reshape(w.shape), next(views)) for w, _ in self.layers]
 
     @property
     def input_dim(self) -> int:
@@ -44,7 +52,7 @@ class ModelParams:
 
     @property
     def num_params(self) -> int:
-        return sum(w.size + b.size for w, b in self.layers)
+        return self.flat.size
 
     def layer_spans(self) -> list[tuple[str, int, int]]:
         """Name and flat-vector extent of every parameter tensor."""
@@ -76,7 +84,7 @@ def init_params(
         w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
         b = rng.uniform(-bound, bound, size=fan_out)
         layers.append((w, b))
-    return ModelParams(layers=layers, hidden_dim=hidden_dim)
+    return ModelParams(layers=layers)
 
 
 def forward(params: ModelParams, batch) -> ForwardRecord:
@@ -87,13 +95,12 @@ def forward(params: ModelParams, batch) -> ForwardRecord:
         raise DimensionError(
             f"batch has {x.shape[1]} columns, model expects {params.input_dim}"
         )
-    if params.hidden_dim == 0:
-        w, b = params.layers[0]
-        return ForwardRecord(inputs=x, features=x, logits=x @ w.T + b)
-    w0, b0 = params.layers[0]
-    w1, b1 = params.layers[1]
-    hidden = np.maximum(0.0, x @ w0.T + b0)
-    return ForwardRecord(inputs=x, features=hidden, logits=hidden @ w1.T + b1)
+    features = x
+    if len(params.layers) == 2:
+        w0, b0 = params.layers[0]
+        features = np.maximum(0.0, x @ w0.T + b0)
+    w, b = params.layers[-1]
+    return ForwardRecord(inputs=x, features=features, logits=features @ w.T + b)
 
 
 def backward(params: ModelParams, record: ForwardRecord, dloss_dlogits) -> np.ndarray:
@@ -103,36 +110,11 @@ def backward(params: ModelParams, record: ForwardRecord, dloss_dlogits) -> np.nd
         raise DimensionError(
             f"dloss_dlogits shape {g.shape} must match logits {record.logits.shape}"
         )
-    if params.hidden_dim == 0:
-        grads = [(g.T @ record.inputs, g.sum(axis=0))]
-    else:
-        w1, _ = params.layers[1]
-        hidden = record.features
-        d_hidden = (g @ w1) * (hidden > 0)
-        grads = [
-            (d_hidden.T @ record.inputs, d_hidden.sum(axis=0)),
-            (g.T @ hidden, g.sum(axis=0)),
-        ]
+    grads = [(g.T @ record.features, g.sum(axis=0))]
+    if len(params.layers) == 2:
+        d_hidden = (g @ params.layers[1][0]) * (record.features > 0)
+        grads.insert(0, (d_hidden.T @ record.inputs, d_hidden.sum(axis=0)))
     return np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in grads])
-
-
-def flatten_params(params: ModelParams) -> np.ndarray:
-    return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in params.layers])
-
-
-def set_flat_params(params: ModelParams, flat: np.ndarray) -> None:
-    """Inverse of flatten_params; writes in place."""
-    vec = np.asarray(flat, dtype=np.float64)
-    if vec.shape != (params.num_params,):
-        raise DimensionError(
-            f"flat vector has length {vec.size}, model has {params.num_params} params"
-        )
-    offset = 0
-    for w, b in params.layers:
-        w[...] = vec[offset : offset + w.size].reshape(w.shape)
-        offset += w.size
-        b[...] = vec[offset : offset + b.size]
-        offset += b.size
 
 
 def sgd_step(
@@ -156,5 +138,5 @@ def sgd_step(
         raise NumericError("gradient contains non-finite entries; step aborted")
     velocity *= momentum
     velocity += g
-    set_flat_params(params, flatten_params(params) - lr * velocity)
+    params.flat -= lr * velocity
     return params, velocity

@@ -49,6 +49,9 @@ class TrainConfig:
     hidden_dim: int = 32  # 0 = linear classifier
 
     def __post_init__(self):
+        for _, name, kind, _ in TRAIN_FLAGS:
+            if kind is float and not np.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.ltr_loss not in LTR_LOSSES:
             raise ParameterError(f"ltr_loss must be 'ce' or 'bsce', got {self.ltr_loss!r}")
         if self.use_mse_ablation and self.use_kr:
@@ -67,6 +70,9 @@ class TrainConfig:
             raise ParameterError(f"sigma_aug must be >= 0, got {self.sigma_aug}")
         if self.hidden_dim < 0:
             raise ParameterError(f"hidden_dim must be >= 0, got {self.hidden_dim}")
+        if self.use_ks and self.hidden_dim == 0:
+            # a linear model's features are its signed inputs: soft labels can go negative
+            raise ParameterError("use_ks needs hidden_dim > 0")
 
 
 # Every TrainConfig field as a `train` flag: (flag, field, type, help), in
@@ -113,7 +119,6 @@ class EpochMetrics:
     loss_ltr: float = 0.0
     loss_kr: float = 0.0
     loss_ks: float = 0.0
-    loss_total: float = 0.0
     conflict_fraction: float = 0.0
     layer_conflict_rates: dict[str, float] = field(default_factory=dict)
 
@@ -156,8 +161,8 @@ def assemble_batch_losses(
     cache: reflect.EpochCache | None,
     soft_labels: reflect.SoftLabels | None,
 ):
-    """Returns (ltr, kr, ks, total). kr/ks are None while inactive (warm-up
-    epoch has no cache, so both regularizers contribute nothing)."""
+    """Returns (ltr, kr, ks). kr/ks are None while inactive (warm-up epoch
+    has no cache, so both regularizers contribute nothing)."""
     if cfg.ltr_loss == "bsce":
         ltr = losses.bsce_loss(logits, labels, class_counts)
     else:
@@ -170,10 +175,7 @@ def assemble_batch_losses(
             kr = reflect.mse_batch_loss(cache, indices, logits)
         if cfg.use_ks and soft_labels is not None:
             ks = losses.soft_ce(logits, soft_labels.y_hat[labels])
-    total = ltr.value
-    total += kr.value if kr is not None else 0.0
-    total += ks.value if ks is not None else 0.0
-    return ltr, kr, ks, total
+    return ltr, kr, ks
 
 
 def train_epoch(
@@ -193,7 +195,7 @@ def train_epoch(
     store = reflect.FeatureStore(dataset.num_classes)
     spans = state.params.layer_spans()
     layer_hits = np.zeros(len(spans))
-    sums = {"ltr": 0.0, "kr": 0.0, "ks": 0.0, "total": 0.0, "conflict": 0.0}
+    sums = {"ltr": 0.0, "kr": 0.0, "ks": 0.0, "conflict": 0.0}
     batches = 0
     aux_batches = 0
 
@@ -202,7 +204,7 @@ def train_epoch(
         x = data.augment(dataset.features[idx], cfg.sigma_aug, state.augment_rng)
         y = dataset.labels[idx]
         rec = nn.forward(state.params, x)
-        ltr, kr, ks, total = assemble_batch_losses(
+        ltr, kr, ks = assemble_batch_losses(
             cfg, rec.logits, idx, y, dataset.class_counts, state.cache, state.soft_labels
         )
         for name, out in (("ltr", ltr), ("kr", kr), ("ks", ks)):
@@ -210,6 +212,7 @@ def train_epoch(
                 raise NumericError(
                     f"non-finite {name} loss at epoch {state.epoch}, batch {batches}"
                 )
+            sums[name] += out.value if out is not None else 0.0
 
         g_ltr = nn.backward(state.params, rec, ltr.dlogits)
         g_aux = None
@@ -237,10 +240,6 @@ def train_epoch(
         reflect.cache_update(next_cache, idx, rec.logits, y)
         store.add(y, rec.features)
 
-        sums["ltr"] += ltr.value
-        sums["kr"] += kr.value if kr is not None else 0.0
-        sums["ks"] += ks.value if ks is not None else 0.0
-        sums["total"] += total
         if on_step is not None:
             on_step(
                 {
@@ -265,7 +264,6 @@ def train_epoch(
         loss_ltr=sums["ltr"] / batches,
         loss_kr=sums["kr"] / batches,
         loss_ks=sums["ks"] / batches,
-        loss_total=sums["total"] / batches,
         conflict_fraction=sums["conflict"] / aux_batches if aux_batches else 0.0,
         layer_conflict_rates=(
             {name: float(hits / aux_batches) for (name, _, _), hits in zip(spans, layer_hits)}
@@ -409,16 +407,22 @@ def run_ablation_grid(
     base_cfg: TrainConfig, dataset_path, out_dir, seeds, test_path=None
 ) -> list[dict]:
     """All 2^3 component combinations, each over the given seeds; one
-    aggregated row per cell, also written to ablation.csv."""
+    aggregated row per cell, also written to ablation.csv. Every cell's
+    config is checked before the first run starts."""
+    if not seeds:
+        raise ParameterError("the grid needs at least one seed")
+    cell_cfgs = [
+        [replace(base_cfg, use_kr=kr, use_ks=ks, use_kc=kc, seed=seed) for seed in seeds]
+        for kr, ks, kc in GRID_CELLS
+    ]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for kr, ks, kc in GRID_CELLS:
+    for (kr, ks, kc), cfgs in zip(GRID_CELLS, cell_cfgs):
         cell_name = f"kr{int(kr)}_ks{int(ks)}_kc{int(kc)}"
         finals = []
-        for seed in seeds:
-            cfg = replace(base_cfg, use_kr=kr, use_ks=ks, use_kc=kc, seed=seed)
-            run_dir = out / cell_name / f"seed{seed}"
+        for cfg in cfgs:
+            run_dir = out / cell_name / f"seed{cfg.seed}"
             echo = train_echo(cfg, dataset_path, run_dir, test_path)
             summary = run_experiment(cfg, dataset_path, run_dir, test_path=test_path, echo=echo)
             finals.append(summary["final"])

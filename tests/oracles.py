@@ -54,19 +54,16 @@ def fd_grad_logits(loss_value_fn, logits, step: float = 1e-5) -> np.ndarray:
 
 
 def fd_grad_params(params, loss_of_model, step: float = 1e-5) -> np.ndarray:
-    """Central finite differences through the flattened model parameters."""
-    theta = nn.flatten_params(params)
+    """Central finite differences through the flat model parameters."""
+    theta = params.flat.copy()
     grad = np.zeros_like(theta)
     for i in range(theta.size):
-        bumped = theta.copy()
-        bumped[i] += step
-        nn.set_flat_params(params, bumped)
+        params.flat[i] += step
         up = loss_of_model(params)
-        bumped[i] -= 2 * step
-        nn.set_flat_params(params, bumped)
+        params.flat[i] -= 2 * step
         down = loss_of_model(params)
+        params.flat[i] = theta[i]
         grad[i] = (up - down) / (2 * step)
-    nn.set_flat_params(params, theta)
     return grad
 
 

@@ -138,7 +138,7 @@ def test_criterion_01_gradient_oracle(report):
         counts = rng.integers(1, 200, size=3)
         targets = np.abs(rng.normal(size=(4, 3)))
         prev = rng.normal(size=(4, 3))
-        nn.set_flat_params(params, rng.normal(scale=0.6, size=params.num_params))
+        params.flat[:] = rng.normal(scale=0.6, size=params.num_params)
 
         def batch_loss(logits, which):
             if which == "ce":

@@ -51,6 +51,37 @@ def test_bad_imbalance_factor_is_usage_error(tmp_path):
     assert run(["synth", "--if", "0.5", "--out", str(tmp_path / "x.ltds")]) == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", [flag for flag, _, kind, _ in trainer.TRAIN_FLAGS if kind is float])
+def test_non_finite_float_flag_is_usage_error(tmp_path, capsys, flag, value):
+    path = synth_tiny(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert run(["train", "--data", str(path), "--out", str(out), "--epochs", "2", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be finite" in captured.err
+    assert not out.exists()
+
+
+def test_ks_on_a_linear_model_is_usage_error(tmp_path, capsys):
+    path = synth_tiny(tmp_path)
+    capsys.readouterr()
+    run_dir, grid = tmp_path / "run", tmp_path / "grid"
+    assert run(["train", "--data", str(path), "--out", str(run_dir), "--ks", "--hidden", "0"]) == 2
+    assert run(["ablate", "--data", str(path), "--out", str(grid), "--hidden", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("usage error: use_ks needs hidden_dim > 0") == 2
+    assert not run_dir.exists() and not grid.exists()
+
+
+def test_ablate_without_seeds_is_usage_error(tmp_path):
+    path = synth_tiny(tmp_path)
+    grid = tmp_path / "grid"
+    assert run(["ablate", "--data", str(path), "--out", str(grid), "--seeds", "0"]) == 2
+    assert not grid.exists()
+
+
 def test_missing_dataset_is_runtime_error(tmp_path):
     code = run(["train", "--data", str(tmp_path / "nope.ltds"), "--out", str(tmp_path / "o"),
                 "--epochs", "1"])
@@ -215,6 +246,11 @@ def test_zero_count_class_is_runtime_error(tmp_path, capsys, flags):
 
 def test_synth_rejects_empty_test_classes(tmp_path):
     assert run(["synth", "--test-size", "0", "--out", str(tmp_path / "x.ltds")]) == 2
+    assert not (tmp_path / "x.ltds").exists()
+
+
+def test_synth_rejects_negative_noise(tmp_path):
+    assert run(["synth", "--noise", "-1", "--out", str(tmp_path / "x.ltds")]) == 2
     assert not (tmp_path / "x.ltds").exists()
 
 

@@ -10,9 +10,7 @@ from oracles import fd_grad_params, max_rel_err
 
 
 def linear_model(weight, bias):
-    return nn.ModelParams(
-        layers=[(np.asarray(weight, float), np.asarray(bias, float))], hidden_dim=0
-    )
+    return nn.ModelParams(layers=[(np.asarray(weight, float), np.asarray(bias, float))])
 
 
 # --- forward ------------------------------------------------------------------
@@ -60,21 +58,51 @@ def test_mlp_features_are_nonnegative():
     assert (rec.features >= 0).all()
 
 
-# --- flatten / unflatten --------------------------------------------------------
+# --- the flat parameter buffer -----------------------------------------------------
 
 
 @given(st.integers(0, 100), st.integers(0, 8))
-def test_flatten_round_trip(seed, hidden):
+def test_layers_are_views_into_flat(seed, hidden):
     rng = np.random.default_rng(seed)
     params = nn.init_params(3, 4, hidden, rng)
-    flat = nn.flatten_params(params)
-    assert flat.size == params.num_params
-    nn.set_flat_params(params, flat)
-    assert np.array_equal(nn.flatten_params(params), flat)
-    # spans tile the flat vector exactly
+    batch = rng.normal(size=(5, 3))
+    before = nn.forward(params, batch).logits
+    # the spans tile the flat vector in layer order; each layer views its span
     spans = params.layer_spans()
-    assert spans[0][1] == 0
-    assert sum(length for _, _, length in spans) == flat.size
+    offset = 0
+    for (w, b), (_, w_start, w_size), (_, b_start, b_size) in zip(
+        params.layers, spans[::2], spans[1::2]
+    ):
+        assert (w_start, b_start) == (offset, offset + w_size)
+        assert np.shares_memory(w, params.flat) and np.shares_memory(b, params.flat)
+        assert np.array_equal(w.ravel(), params.flat[w_start : w_start + w_size])
+        assert np.array_equal(b, params.flat[b_start : b_start + b_size])
+        offset = b_start + b_size
+    assert offset == params.flat.size == params.num_params
+    # writing the flat vector writes the layers and changes the output
+    params.flat[:] = rng.normal(size=params.num_params)
+    assert np.array_equal(
+        np.concatenate([np.concatenate([w.ravel(), b]) for w, b in params.layers]), params.flat
+    )
+    assert not np.array_equal(nn.forward(params, batch).logits, before)
+
+
+def test_sgd_step_output_matches_a_rebuilt_model():
+    rng = np.random.default_rng(12)
+    params = nn.init_params(4, 3, 5, rng)
+    grad = rng.normal(size=params.num_params)
+    nn.sgd_step(params, grad, lr=0.1, momentum=0.9, velocity=np.zeros(params.num_params))
+    rebuilt = nn.ModelParams(layers=[(w.copy(), b.copy()) for w, b in params.layers])
+    assert np.array_equal(rebuilt.flat, params.flat)
+    batch = rng.normal(size=(6, 4))
+    assert np.array_equal(nn.forward(rebuilt, batch).logits, nn.forward(params, batch).logits)
+
+
+@pytest.mark.parametrize("num_layers", [0, 3])
+def test_model_needs_one_or_two_layers(num_layers):
+    layers = [(np.zeros((3, 3)), np.zeros(3))] * num_layers
+    with pytest.raises(DimensionError):
+        nn.ModelParams(layers=layers)
 
 
 # --- backward -------------------------------------------------------------------
@@ -147,50 +175,50 @@ def test_backward_matches_finite_differences(hidden, loss_name):
 def test_sgd_zero_grad_is_identity():
     rng = np.random.default_rng(7)
     params = nn.init_params(3, 2, 0, rng)
-    before = nn.flatten_params(params)
+    before = params.flat.copy()
     vel = np.zeros(params.num_params)
     nn.sgd_step(params, np.zeros(params.num_params), lr=0.1, momentum=0.9, velocity=vel)
-    assert np.array_equal(nn.flatten_params(params), before)
+    assert np.array_equal(params.flat, before)
     assert np.array_equal(vel, np.zeros(params.num_params))
 
 
 def test_sgd_no_momentum_unit_lr():
     rng = np.random.default_rng(8)
     params = nn.init_params(3, 2, 0, rng)
-    before = nn.flatten_params(params)
+    before = params.flat.copy()
     grad = rng.normal(size=params.num_params)
     nn.sgd_step(params, grad, lr=1.0, momentum=0.0, velocity=np.zeros(params.num_params))
-    assert np.allclose(nn.flatten_params(params), before - grad, atol=1e-15)
+    assert np.allclose(params.flat, before - grad, atol=1e-15)
 
 
 def test_sgd_momentum_two_steps():
     rng = np.random.default_rng(9)
     params = nn.init_params(3, 2, 0, rng)
-    before = nn.flatten_params(params)
+    before = params.flat.copy()
     grad = rng.normal(size=params.num_params)
     vel = np.zeros(params.num_params)
     lr = 0.25
     nn.sgd_step(params, grad, lr=lr, momentum=0.9, velocity=vel)
     nn.sgd_step(params, grad, lr=lr, momentum=0.9, velocity=vel)
-    displacement = before - nn.flatten_params(params)
+    displacement = before - params.flat
     assert np.allclose(displacement, lr * (grad + 1.9 * grad), atol=1e-12)
 
 
 def test_sgd_rejects_non_finite_grad():
     rng = np.random.default_rng(10)
     params = nn.init_params(3, 2, 0, rng)
-    before = nn.flatten_params(params)
+    before = params.flat.copy()
     grad = np.zeros(params.num_params)
     grad[0] = np.nan
     with pytest.raises(NumericError):
         nn.sgd_step(params, grad, lr=0.1, momentum=0.9, velocity=np.zeros(params.num_params))
-    assert np.array_equal(nn.flatten_params(params), before)  # step aborted
+    assert np.array_equal(params.flat, before)  # step aborted
 
 
 def test_init_is_seed_deterministic_and_bounded():
     a = nn.init_params(10, 7, 16, np.random.default_rng(11))
     b = nn.init_params(10, 7, 16, np.random.default_rng(11))
-    assert np.array_equal(nn.flatten_params(a), nn.flatten_params(b))
+    assert np.array_equal(a.flat, b.flat)
     for (w, bias), (fan_in, fan_out) in zip(a.layers, [(10, 16), (16, 7)]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         assert np.abs(w).max() <= bound and np.abs(bias).max() <= bound
