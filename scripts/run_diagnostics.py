@@ -10,27 +10,13 @@ class rarity, (b) how much the review loss shrinks that divergence, and
 from __future__ import annotations
 
 import argparse
-import csv
 import shlex
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
-from ltreflect import cli, trainer
-
-
-def read_class_kl(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    return np.array([[float(v) for v in row[1:]] for row in rows[1:]])
-
-
-def read_conflict_fraction(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return np.array([float(r["conflict_fraction"]) for r in rows])
+from ltreflect import artifacts, cli, trainer
 
 
 def main() -> int:
@@ -48,23 +34,22 @@ def main() -> int:
     base = trainer.TrainConfig(sigma_aug=args.sigma_aug)
     ce_tables, kr_tables, conflict = [], [], []
     for seed in range(args.seeds):
+        runs = {}
         for name, kw in (("ce", {}), ("kr", {"use_kr": True}),
                          ("krks", {"use_kr": True, "use_ks": True})):
-            out = args.workdir / name / f"seed{seed}"
-            trainer.run_experiment(replace(base, seed=seed, **kw), data_path, out)
-        ce_tables.append(read_class_kl(args.workdir / "ce" / f"seed{seed}" / "class_kl.csv"))
-        kr_tables.append(read_class_kl(args.workdir / "kr" / f"seed{seed}" / "class_kl.csv"))
-        conflict.append(read_conflict_fraction(args.workdir / "krks" / f"seed{seed}" / "metrics.csv"))
+            runs[name] = args.workdir / name / f"seed{seed}"
+            trainer.run_experiment(replace(base, seed=seed, **kw), data_path, runs[name])
+        ce_tables.append(artifacts.class_kl_table(runs["ce"]))
+        kr_tables.append(artifacts.class_kl_table(runs["kr"]))
+        conflict.append(artifacts.metric_column(runs["krks"], "conflict_fraction"))
 
-    per_class = np.nanmean(np.stack([np.nanmean(t, axis=0) for t in ce_tables]), axis=0)
-    rho, pvalue = stats.spearmanr(np.arange(per_class.size), per_class)
-    ce_mean = float(np.mean([np.nanmean(t) for t in ce_tables]))
-    kr_mean = float(np.mean([np.nanmean(t) for t in kr_tables]))
+    ce, kr = artifacts.kl_summary(ce_tables), artifacts.kl_summary(kr_tables)
     cf = np.mean(np.stack(conflict), axis=0)
 
-    print(f"adjacent-epoch KL vs rarity rank: spearman {rho:.3f} (p={pvalue:.2g})")
-    print("per-class mean KL:", " ".join(f"{v:.4f}" for v in per_class))
-    print(f"mean KL: ce {ce_mean:.4f} -> +review {kr_mean:.4f}")
+    print(f"adjacent-epoch KL vs rarity rank: spearman {ce['spearman_rarity']:.3f} "
+          f"(p={ce['spearman_pvalue']:.2g})")
+    print("per-class mean KL:", " ".join(f"{v:.4f}" for v in ce["per_class_mean_kl"]))
+    print(f"mean KL: ce {ce['mean_kl']:.4f} -> +review {kr['mean_kl']:.4f}")
     print(f"conflict fraction (KR+KS, no correction): mean {cf.mean():.3f}, "
           f"nonzero in {(cf > 0).mean():.0%} of epochs")
     return 0

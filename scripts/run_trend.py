@@ -12,9 +12,7 @@ import shlex
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from ltreflect import cli, trainer
+from ltreflect import artifacts, cli, trainer
 
 
 def main() -> int:
@@ -58,10 +56,7 @@ def main() -> int:
             out = args.workdir / name.replace("+", "_") / f"seed{seed}"
             summary = trainer.run_experiment(replace(cfg, seed=seed), data_path, out)
             finals.append(summary["final"])
-        results[name] = {
-            k: float(np.mean([f[k] for f in finals]))
-            for k in ("acc_all", "acc_many", "acc_medium", "acc_few")
-        }
+        results[name] = artifacts.mean_finals(finals)
 
     header = f"{'variant':10s} {'all':>8s} {'many':>8s} {'medium':>8s} {'few':>8s}"
     print(header)

@@ -10,14 +10,13 @@ be fed back verbatim to reproduce the run.
 from __future__ import annotations
 
 import argparse
-import json
 import shlex
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import data, trainer
+from . import artifacts, data, trainer
 from .errors import DimensionError, FormatError, NumericError, ParameterError, StateError
 
 
@@ -92,11 +91,13 @@ def _config_from_args(args) -> trainer.TrainConfig:
 
 
 def cmd_synth(args) -> int:
+    if not np.isfinite(args.class_sep):
+        raise ParameterError(f"--class-sep must be finite, got {args.class_sep}")
     counts = data.longtail_counts(args.classes, args.n_max, args.imbalance_factor)
     if args.test_size < 1:
         raise ParameterError(f"--test-size must be >= 1, got {args.test_size}")
-    if not args.noise >= 0:
-        raise ParameterError(f"--noise must be >= 0, got {args.noise}")
+    if not 0 <= args.noise < np.inf:
+        raise ParameterError(f"--noise must be finite and >= 0, got {args.noise}")
     if args.pairs < 0 or 2 * args.pairs > args.classes:
         raise ParameterError(f"--pairs must be in [0, {args.classes // 2}]")
     pairs = [(i, args.classes // 2 + i, args.overlap) for i in range(args.pairs)]
@@ -168,41 +169,10 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def _read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
-    import csv as _csv
-
-    if not path.exists():
-        raise FileNotFoundError(f"file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        rows = list(reader)
-    return rows[0], rows[1:]
-
-
 def cmd_analyze_kl(args) -> int:
-    from scipy import stats
-
-    run = Path(args.run)
-    header, rows = _read_csv_rows(run / "class_kl.csv")
-    if not rows:
-        raise StateError(f"no divergence rows recorded in {run / 'class_kl.csv'}")
-    table = np.array([[float(v) for v in r[1:]] for r in rows])
-    per_class_mean = np.nanmean(table, axis=0)
-    # classes are stored in decreasing-count order, so the class index is
-    # already the rarity rank
-    usable = ~np.isnan(per_class_mean)
-    rho, pvalue = stats.spearmanr(
-        np.arange(len(per_class_mean))[usable], per_class_mean[usable]
-    )
-    payload = {
-        "epochs": len(rows),
-        "per_class_mean_kl": [float(v) for v in per_class_mean],
-        "mean_kl": float(np.nanmean(per_class_mean)),
-        "spearman_rarity": float(rho),
-        "spearman_pvalue": float(pvalue),
-    }
-    out = Path(args.out) if args.out else run / "kl_analysis.json"
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    payload = artifacts.kl_summary([artifacts.class_kl_table(args.run)])
+    out = Path(args.out or Path(args.run, "kl_analysis.json"))
+    artifacts.write_json(out, payload)
     print(
         f"mean adjacent-epoch KL {payload['mean_kl']:.5f}, "
         f"rarity-rank spearman {payload['spearman_rarity']:.3f} -> {out}"
@@ -211,24 +181,9 @@ def cmd_analyze_kl(args) -> int:
 
 
 def cmd_analyze_conflicts(args) -> int:
-    run = Path(args.run)
-    header, rows = _read_csv_rows(run / "conflicts.csv")
-    if not rows:
-        raise StateError(f"no conflict rows recorded in {run / 'conflicts.csv'}")
-    layers: dict[str, list[int]] = {}
-    fractions: dict[int, float] = {}
-    for epoch, name, flag, fraction in rows:
-        layers.setdefault(name, []).append(int(flag))
-        fractions[int(epoch)] = float(fraction)
-    series = [fractions[e] for e in sorted(fractions)]
-    payload = {
-        "epochs": len(series),
-        "per_layer_conflict_rate": {k: float(np.mean(v)) for k, v in layers.items()},
-        "fraction_mean": float(np.mean(series)),
-        "fraction_nonzero_share": float(np.mean([f > 0 for f in series])),
-    }
-    out = Path(args.out) if args.out else run / "conflict_analysis.json"
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    payload = artifacts.conflict_summary(args.run)
+    out = Path(args.out or Path(args.run, "conflict_analysis.json"))
+    artifacts.write_json(out, payload)
     print(
         f"conflict fraction mean {payload['fraction_mean']:.3f}, "
         f"nonzero in {payload['fraction_nonzero_share']:.0%} of epochs -> {out}"

@@ -73,7 +73,7 @@ def longtail_counts(num_classes: int, n_max: int, imbalance_factor: float) -> np
     """Exponential count profile n_j = round(n_max * IF^(-(j-1)/(C-1))), min 1."""
     if num_classes < 2:
         raise ParameterError(f"need at least 2 classes, got {num_classes}")
-    if imbalance_factor < 1:
+    if not imbalance_factor >= 1:
         raise ParameterError(f"imbalance factor must be >= 1, got {imbalance_factor}")
     if n_max < imbalance_factor:
         raise ParameterError("n_max must be >= the imbalance factor so n_min >= 1")

@@ -18,8 +18,8 @@ class NumericError(ArithmeticError):
 
 
 class FormatError(ValueError):
-    """A dataset file is malformed; carries the byte offset of the problem."""
+    """A dataset or run file is malformed; dataset errors carry the byte offset."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
+    def __init__(self, message: str, offset: int | None = None):
+        super().__init__(message if offset is None else f"{message} (byte offset {offset})")
         self.offset = offset

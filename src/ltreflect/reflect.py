@@ -5,11 +5,11 @@ per-class divergence diagnostic.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifacts
 from .errors import DimensionError, ParameterError, StateError
 from .losses import LossOutput, kl_distill, mse_logits
 
@@ -180,23 +180,11 @@ def per_class_adjacent_kl(prev_logits, cur_logits, labels, num_classes: int) -> 
 
 def write_matrix_csv(path, matrix) -> None:
     """Square matrix dump; header row is the class indices."""
-    m = np.asarray(matrix)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([str(i) for i in range(m.shape[1])])
-        for row in m:
-            writer.writerow([repr(float(v)) for v in row])
+    artifacts.write_csv(path, [str(i) for i in range(np.shape(matrix)[1])], matrix)
 
 
 def write_class_kl_series(path, rows) -> None:
     """rows = iterable of (epoch, per-class KL vector)."""
-    rows = list(rows)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if not rows:
-            fh.write("epoch\n")
-            return
-        width = len(rows[0][1])
-        writer.writerow(["epoch"] + [str(i) for i in range(width)])
-        for epoch, vec in rows:
-            writer.writerow([str(epoch)] + [repr(float(v)) for v in vec])
+    rows = [[epoch, *vec] for epoch, vec in rows]
+    header = ["epoch"] + [str(i) for i in range(len(rows[0]) - 1 if rows else 0)]
+    artifacts.write_csv(path, header, rows)

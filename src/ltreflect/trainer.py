@@ -1,19 +1,17 @@
 """Training orchestration: per-batch loss assembly, two-pass backward,
 conflict-corrected updates, per-epoch memory refresh, evaluation buckets,
-and the on-disk run artifacts (metrics/conflicts/divergence CSVs).
+and what a run directory holds (`artifacts` owns the file format).
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import shlex
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import conflict, data, losses, nn, reflect
+from . import artifacts, conflict, data, losses, nn, reflect
 from .errors import DimensionError, NumericError, ParameterError
 
 LTR_LOSSES = ("ce", "bsce")
@@ -303,27 +301,14 @@ def default_test_path(dataset_path) -> Path:
     return Path(str(p) + ".test")
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
-
-
 def write_metrics_csv(path, history: list[EpochMetrics]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRIC_COLUMNS)
-        for m in history:
-            writer.writerow(
-                [str(m.epoch)] + [_fmt(getattr(m, col)) for col in METRIC_COLUMNS[1:]]
-            )
+    rows = ([getattr(m, col) for col in METRIC_COLUMNS] for m in history)
+    artifacts.write_csv(path, METRIC_COLUMNS, rows)
 
 
 def write_conflicts_csv(path, rows) -> None:
     """rows = (epoch, layer_name, conflicted 0/1, epoch conflict fraction)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "layer_name", "conflicted", "fraction"])
-        for epoch, name, flag, fraction in rows:
-            writer.writerow([str(epoch), name, str(int(flag)), _fmt(fraction)])
+    artifacts.write_csv(path, artifacts.CONFLICT_COLUMNS, rows)
 
 
 def run_experiment(
@@ -394,7 +379,7 @@ def run_experiment(
         "final": {col: getattr(final, col) for col in METRIC_COLUMNS},
         "echo": echo,
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    artifacts.write_json(out / "summary.json", summary)
     return summary
 
 
@@ -426,16 +411,7 @@ def run_ablation_grid(
             echo = train_echo(cfg, dataset_path, run_dir, test_path)
             summary = run_experiment(cfg, dataset_path, run_dir, test_path=test_path, echo=echo)
             finals.append(summary["final"])
-        row = {"kr": int(kr), "ks": int(ks), "kc": int(kc), "seeds": len(finals)}
-        for key in ("acc_all", "acc_many", "acc_medium", "acc_few"):
-            row[f"mean_{key}"] = float(np.mean([f[key] for f in finals]))
-        rows.append(row)
-    with open(out / "ablation.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = list(rows[0].keys())
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [str(row[h]) if isinstance(row[h], int) else _fmt(row[h]) for h in header]
-            )
+        means = {f"mean_{k}": v for k, v in artifacts.mean_finals(finals).items()}
+        rows.append({"kr": int(kr), "ks": int(ks), "kc": int(kc), "seeds": len(finals), **means})
+    artifacts.write_csv(out / "ablation.csv", list(rows[0]), (row.values() for row in rows))
     return rows

@@ -7,15 +7,13 @@ default flags) and the calibrated trainer defaults, with alpha=0.95 for
 the trend/grid runs; see notes in the repo README for the calibration.
 """
 
-import csv
 import shlex
 import time
 
 import numpy as np
 import pytest
-from scipy import stats
 
-from ltreflect import cli, data, losses, nn, reflect, trainer
+from ltreflect import artifacts, cli, data, losses, nn, reflect, trainer
 from ltreflect.conflict import GradPair, cos_angle, project_if_conflict
 
 from oracles import baseline_run, fd_grad_params, max_rel_err
@@ -101,20 +99,8 @@ def divergence_runs(default_dataset, workdir):
             trainer.run_experiment(
                 trend_config(sigma_aug=0.3, seed=seed, **kw), default_dataset, out
             )
-            tables[name].append(read_class_kl(out / "class_kl.csv"))
+            tables[name].append(artifacts.class_kl_table(out))
     return tables
-
-
-def read_class_kl(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    return np.array([[float(v) for v in row[1:]] for row in rows[1:]])
-
-
-def read_metric_column(path, column):
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return np.array([float(r[column]) for r in rows])
 
 
 def grid_cell(rows, kr, ks, kc):
@@ -305,22 +291,13 @@ def test_criterion_06_reduction_bit_for_bit(default_dataset, report):
 
 
 def _trend_deltas(plain_finals, rl_finals):
-    mean = lambda rows, key: float(np.mean([r[key] for r in rows]))
-    return (
-        mean(plain_finals, "acc_all"),
-        mean(rl_finals, "acc_all"),
-        mean(plain_finals, "acc_few"),
-        mean(rl_finals, "acc_few"),
-    )
+    plain, rl = artifacts.mean_finals(plain_finals), artifacts.mean_finals(rl_finals)
+    return plain["acc_all"], rl["acc_all"], plain["acc_few"], rl["acc_few"]
 
 
 def test_criterion_07a_trend_ce(grid, workdir, report):
-    plain = [
-        json_final(workdir / "grid" / "kr0_ks0_kc0" / f"seed{s}") for s in SEEDS
-    ]
-    full = [
-        json_final(workdir / "grid" / "kr1_ks1_kc1" / f"seed{s}") for s in SEEDS
-    ]
+    plain = [artifacts.final(workdir / "grid" / "kr0_ks0_kc0" / f"seed{s}") for s in SEEDS]
+    full = [artifacts.final(workdir / "grid" / "kr1_ks1_kc1" / f"seed{s}") for s in SEEDS]
     all0, all1, few0, few1 = _trend_deltas(plain, full)
     ok = all1 >= all0 and (few1 - few0) >= 0.010
     report(
@@ -344,22 +321,12 @@ def test_criterion_07b_trend_bsce(bsce_pair, report):
     )
 
 
-def json_final(run_dir):
-    import json
-
-    return json.loads((run_dir / "summary.json").read_text())["final"]
-
-
 # --- 8: divergence diagnostic ----------------------------------------------------------------
 
 
 def test_criterion_08_divergence_diagnostic(divergence_runs, report):
-    per_class = np.nanmean(
-        np.stack([np.nanmean(t, axis=0) for t in divergence_runs["ce"]]), axis=0
-    )
-    rho, _ = stats.spearmanr(np.arange(per_class.size), per_class)
-    ce_mean = float(np.mean([np.nanmean(t) for t in divergence_runs["ce"]]))
-    kr_mean = float(np.mean([np.nanmean(t) for t in divergence_runs["kr"]]))
+    ce, kr = (artifacts.kl_summary(divergence_runs[name]) for name in ("ce", "kr"))
+    rho, ce_mean, kr_mean = ce["spearman_rarity"], ce["mean_kl"], kr["mean_kl"]
     ok = rho > 0.3 and kr_mean < ce_mean
     report(
         8,
@@ -375,10 +342,8 @@ def test_criterion_08_divergence_diagnostic(divergence_runs, report):
 def test_criterion_09_conflict_diagnostic(grid, workdir, default_dataset, report):
     shares = []
     for s in SEEDS:
-        cf = read_metric_column(
-            workdir / "grid" / "kr1_ks1_kc0" / f"seed{s}" / "metrics.csv",
-            "conflict_fraction",
-        )
+        run_dir = workdir / "grid" / "kr1_ks1_kc0" / f"seed{s}"
+        cf = artifacts.metric_column(run_dir, "conflict_fraction")
         shares.append(float((cf > 0).mean()))
     nonzero_ok = all(share >= 0.5 for share in shares)
 

@@ -254,6 +254,19 @@ def test_synth_rejects_negative_noise(tmp_path):
     assert not (tmp_path / "x.ltds").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--class-sep", "nan"), ("--class-sep", "inf"), ("--noise", "inf"),
+     ("--if", "nan"), ("--if", "inf"), ("--overlap", "nan")],
+)
+def test_synth_non_finite_geometry_is_usage_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "d" / "x.ltds"
+    assert run(["synth", flag, value, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage error: ")
+    assert not out.parent.exists()
+
+
 def test_mismatched_train_test_pair_is_runtime_error(tmp_path, capsys):
     path = synth_tiny(tmp_path)
     other = tmp_path / "wide.ltds"
@@ -287,3 +300,40 @@ def test_analyze_commands_summarize_a_run(tmp_path, capsys):
 
 def test_analyze_missing_run_is_runtime_error(tmp_path):
     assert run(["analyze-kl", "--run", str(tmp_path / "ghost")]) == 1
+
+
+def test_analyze_conflicts_on_a_plain_run_reports_zero(tmp_path, capsys):
+    path = synth_tiny(tmp_path)
+    out = tmp_path / "run"
+    assert run(["train", "--data", str(path), "--out", str(out), "--epochs", "1", "--hidden", "8"]) == 0
+    assert run(["analyze-conflicts", "--run", str(out)]) == 0
+    assert json.loads((out / "conflict_analysis.json").read_text()) == {
+        "epochs": 0,
+        "per_layer_conflict_rate": {},
+        "fraction_mean": 0.0,
+        "fraction_nonzero_share": 0.0,
+    }
+    # one epoch leaves no adjacent pair, so there is no divergence to summarize
+    capsys.readouterr()
+    assert run(["analyze-kl", "--run", str(out)]) == 1
+    assert "no divergence rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, name, text, where",
+    [
+        ("analyze-kl", "class_kl.csv", b"", "is empty"),
+        ("analyze-conflicts", "conflicts.csv", b"", "is empty"),
+        ("analyze-kl", "class_kl.csv", b"epoch,0,1\r\n1,0.5,0.25\r\n2,0.5,x\r\n", "line 3"),
+        ("analyze-conflicts", "conflicts.csv",
+         b"epoch,layer_name,conflicted,fraction\r\n0,layer0,1\r\n", "line 2"),
+        ("analyze-kl", "class_kl.csv", b"epoch,0\r\n1,\xff\xfe\r\n", ""),
+    ],
+    ids=["empty-class-kl", "empty-conflicts", "non-numeric-kl", "short-conflict-row", "binary-kl"],
+)
+def test_analyze_malformed_run_file_is_runtime_error(tmp_path, capsys, command, name, text, where):
+    (tmp_path / name).write_bytes(text)
+    assert run([command, "--run", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(tmp_path / name) in err and where in err
