@@ -186,6 +186,10 @@ def load_dataset(path) -> Dataset:
         raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}", 0)
     if version != VERSION:
         raise FormatError(f"unsupported version {version}", 4)
+    if d == 0:
+        raise FormatError("feature dim D is 0", 12)
+    if c == 0:
+        raise FormatError("class count C is 0", 16)
     feat_off = _HEADER.size
     label_off = feat_off + 4 * n * d
     count_off = label_off + 4 * n

@@ -33,14 +33,6 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def softmax_temp(logits, tau: float = 1.0) -> np.ndarray:
-    """Row-wise softmax of logits/tau, computed with max-subtraction."""
-    if tau <= 0:
-        raise ParameterError(f"temperature must be positive, got {tau}")
-    arr = _as_logits(logits)
-    return np.exp(_log_softmax(arr / tau))
-
-
 def _check_labels(labels, num_classes: int) -> np.ndarray:
     lab = np.asarray(labels)
     if lab.ndim != 1:

@@ -34,6 +34,9 @@ class ModelParams:
         for w, b in self.layers:
             if w.ndim != 2 or b.shape != (w.shape[0],):
                 raise DimensionError(f"bad layer shapes {w.shape} / {b.shape}")
+            if w.size == 0:
+                # per-layer sums over layer_spans() need every span non-empty
+                raise DimensionError(f"empty layer weight {w.shape}")
         if len(self.layers) == 2:
             (w0, _), (w1, _) = self.layers
             if w1.shape[1] != w0.shape[0]:

@@ -82,24 +82,32 @@ def mse_batch_loss(cache: EpochCache, indices, cur_logits) -> LossOutput:
 
 
 class FeatureStore:
-    """Per-class feature rows collected over one epoch; drained once the
-    medians are taken so memory stays bounded at a single epoch."""
+    """Feature rows collected over one epoch, whole batches at a time;
+    drained once the medians are taken so memory stays bounded at a
+    single epoch."""
 
     def __init__(self, num_classes: int):
-        self._rows: list[list[np.ndarray]] = [[] for _ in range(num_classes)]
+        self._num_classes = num_classes
+        self._labels: list[np.ndarray] = []
+        self._features: list[np.ndarray] = []
 
     def add(self, labels, features) -> None:
-        lab = np.asarray(labels)
-        feats = np.asarray(features, dtype=np.float64)
-        for c in np.unique(lab):
-            self._rows[int(c)].append(feats[lab == c])
+        self._labels.append(np.array(labels, dtype=np.intp))
+        self._features.append(np.array(features, dtype=np.float64))
 
     def drain(self) -> list[np.ndarray | None]:
-        out = [
-            np.concatenate(chunks) if chunks else None for chunks in self._rows
-        ]
-        self._rows = [[] for _ in self._rows]
-        return out
+        """Each class's rows in arrival order (None for a class with no
+        rows); the store is empty afterwards."""
+        if not self._labels:
+            return [None] * self._num_classes
+        labels = np.concatenate(self._labels)
+        feats = np.concatenate(self._features)
+        self._labels, self._features = [], []
+        counts = np.bincount(labels, minlength=self._num_classes)
+        by_class = np.split(np.argsort(labels, kind="stable"), np.cumsum(counts)[:-1])
+        # one copy per class, not one sorted copy of the epoch: the smaller
+        # copies reuse the freed batch chunks' memory, which keeps peak RSS down
+        return [feats[rows] if rows.size else None for rows in by_class]
 
 
 @dataclass

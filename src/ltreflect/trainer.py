@@ -192,6 +192,7 @@ def train_epoch(
     next_cache = reflect.empty_cache(n, dataset.num_classes)
     store = reflect.FeatureStore(dataset.num_classes)
     spans = state.params.layer_spans()
+    starts = np.array([start for _, start, _ in spans])
     layer_hits = np.zeros(len(spans))
     sums = {"ltr": 0.0, "kr": 0.0, "ks": 0.0, "conflict": 0.0}
     batches = 0
@@ -222,13 +223,12 @@ def train_epoch(
             if ks is not None:
                 aux_dlogits += ks.dlogits
             g_aux = nn.backward(state.params, rec, aux_dlogits)
-            pair = conflict.GradPair(g_ltr=g_ltr, g_aux=g_aux, layer_spans=spans)
-            stats = conflict.conflict_stats(pair)
-            layer_hits += stats.conflicted
-            sums["conflict"] += stats.fraction
+            flags = conflict.conflict_stats(g_ltr, g_aux, starts)
+            layer_hits += flags
+            sums["conflict"] += float(flags.mean())
             aux_batches += 1
             if cfg.use_kc:
-                g_update, conflicted = conflict.project_if_conflict(pair)
+                g_update, conflicted = conflict.project_if_conflict(g_ltr, g_aux)
             else:
                 g_update = g_ltr + g_aux
         else:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ltreflect import artifacts, cli, data, losses, nn, reflect, trainer
-from ltreflect.conflict import GradPair, cos_angle, project_if_conflict
+from ltreflect.conflict import cos_angle, project_if_conflict
 
 from oracles import baseline_run, fd_grad_params, max_rel_err
 
@@ -165,14 +165,13 @@ def test_criterion_02_projection_suite(report):
         b = rng.normal(size=40)
         if a @ b >= 0:
             b = b - 2.0 * (a @ b) / (a @ a) * a
-        pair = GradPair(g_ltr=a, g_aux=b, layer_spans=[("all", 0, 40)])
-        g_rl, conflicted = project_if_conflict(pair)
+        g_rl, conflicted = project_if_conflict(a, b)
         ok &= conflicted
         corrected = g_rl - a
         denom = max(np.linalg.norm(corrected) * np.linalg.norm(a), 1e-30)
         worst_orth = max(worst_orth, abs(corrected @ a) / denom)
         ok &= np.linalg.norm(corrected) <= np.linalg.norm(b) * (1 + 1e-12)
-        again, _ = project_if_conflict(GradPair(a, corrected, [("all", 0, 40)]))
+        again, _ = project_if_conflict(a, corrected)
         worst_idem = max(
             worst_idem,
             np.linalg.norm((again - a) - corrected) / max(np.linalg.norm(corrected), 1e-30),
@@ -182,7 +181,7 @@ def test_criterion_02_projection_suite(report):
         b = rng.normal(size=40)
         if a @ b < 0:
             b = b - 2.0 * (a @ b) / (a @ a) * a
-        g_rl, conflicted = project_if_conflict(GradPair(a, b, [("all", 0, 40)]))
+        g_rl, conflicted = project_if_conflict(a, b)
         ok &= not conflicted and np.array_equal(g_rl, b + a)
     ok &= worst_orth <= 1e-9 and worst_idem <= 1e-9
     report(

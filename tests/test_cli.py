@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import shlex
+import struct
 
 import numpy as np
 import pytest
@@ -241,6 +242,28 @@ def test_zero_count_class_is_runtime_error(tmp_path, capsys, flags):
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: class 2 has count 0")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "header, where",
+    [((30, 0, 2), "offset 12"), ((0, 0, 0), "offset 12"), ((0, 4, 0), "offset 16")],
+)
+def test_zero_dim_or_zero_class_file_is_runtime_error(tmp_path, capsys, header, where):
+    n, d, c = header
+    counts = [20, 10][:c]
+    blob = (
+        struct.pack("<4sIIII", b"LTDS", 1, n, d, c)
+        + np.repeat(np.arange(c), counts).astype("<u4").tobytes()
+        + np.asarray(counts, dtype="<u4").tobytes()
+    )
+    path = tmp_path / "empty.ltds"
+    path.write_bytes(blob)
+    trainer.default_test_path(path).write_bytes(blob)
+    code = run(["train", "--data", str(path), "--out", str(tmp_path / "o"), "--kr"])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and where in err[0]
     assert not (tmp_path / "o").exists()
 
 

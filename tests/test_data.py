@@ -225,6 +225,29 @@ def test_load_rejects_zero_count_class(tmp_path):
     assert "class 2 has count 0" in str(err.value)
 
 
+def ltds_blob(n, d, counts):
+    """A file whose header and payload sizes agree: zero features, labels by count."""
+    labels = np.repeat(np.arange(len(counts)), counts)
+    return (
+        struct.pack("<4sIIII", b"LTDS", 1, n, d, len(counts))
+        + np.zeros(n * d, dtype="<f4").tobytes()
+        + labels.astype("<u4").tobytes()
+        + np.asarray(counts, dtype="<u4").tobytes()
+    )
+
+
+@pytest.mark.parametrize(
+    "blob, offset",
+    [(ltds_blob(30, 0, [20, 10]), 12), (ltds_blob(0, 0, []), 12), (ltds_blob(0, 4, []), 16)],
+)
+def test_load_rejects_zero_dim_or_zero_classes(tmp_path, blob, offset):
+    path = tmp_path / "ds.ltds"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError) as err:
+        data.load_dataset(path)
+    assert err.value.offset == offset
+
+
 def _valid_blob():
     counts = data.longtail_counts(3, 6, 3.0)
     ds = data.synth_gaussians(3, 2, counts, 4.0, 1.0, seed=1)

@@ -15,40 +15,6 @@ def random_logits(seed, batch=5, classes=4, scale=2.0):
     return np.random.default_rng(seed).normal(scale=scale, size=(batch, classes))
 
 
-# --- temperature softmax ---------------------------------------------------
-
-
-def test_softmax_symmetry():
-    for tau in (1.0, 2.0, 7.5):
-        p = losses.softmax_temp(np.array([[0.0, 0.0]]), tau)
-        assert np.allclose(p, [[0.5, 0.5]], atol=1e-15)
-
-
-def test_softmax_known_value():
-    p = losses.softmax_temp(np.array([[2.0, 0.0]]), tau=2.0)
-    expected = math.e / (1.0 + math.e)  # same as tau=1 on (1, 0)
-    assert abs(p[0, 0] - expected) < 1e-12
-    assert abs(p[0, 1] - (1.0 - expected)) < 1e-12
-
-
-def test_softmax_high_temperature_is_uniform():
-    p = losses.softmax_temp(random_logits(0, classes=6), tau=1e6)
-    assert np.max(np.abs(p - 1.0 / 6)) < 1e-6
-
-
-@given(st.integers(0, 500))
-def test_softmax_rows_sum_to_one(seed):
-    p = losses.softmax_temp(random_logits(seed, scale=10.0), tau=1.0)
-    assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-12
-
-
-def test_softmax_rejects_nonpositive_tau():
-    with pytest.raises(ParameterError):
-        losses.softmax_temp(np.zeros((1, 2)), tau=0.0)
-    with pytest.raises(ParameterError):
-        losses.softmax_temp(np.zeros((1, 2)), tau=-1.0)
-
-
 # --- cross-entropy ----------------------------------------------------------
 
 

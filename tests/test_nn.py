@@ -105,6 +105,14 @@ def test_model_needs_one_or_two_layers(num_layers):
         nn.ModelParams(layers=layers)
 
 
+@pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
+def test_model_rejects_zero_size_weights(shape):
+    with pytest.raises(DimensionError):
+        nn.ModelParams(layers=[(np.zeros(shape), np.zeros(shape[0]))])
+    with pytest.raises(DimensionError):
+        nn.init_params(shape[1], shape[0], 4, np.random.default_rng(0))
+
+
 # --- backward -------------------------------------------------------------------
 
 

@@ -213,6 +213,24 @@ def test_feature_store_drains_and_resets():
     assert all(chunk is None for chunk in store.drain())
 
 
+def test_feature_store_keeps_arrival_order():
+    # class 2 is missing from the second batch, class 3 never arrives
+    rng = np.random.default_rng(8)
+    batches = [np.array([2, 0, 1, 2, 0]), np.array([1, 0, 0]), np.array([0, 2, 1, 1])]
+    store = reflect.FeatureStore(4)
+    expected = [[] for _ in range(4)]
+    for labels in batches:
+        feats = rng.normal(size=(labels.size, 3))
+        store.add(labels, feats)
+        for c in range(4):
+            expected[c].append(feats[labels == c])
+    drained = store.drain()
+    for c in range(3):
+        assert np.array_equal(drained[c], np.concatenate(expected[c]))
+    assert drained[3] is None
+    assert all(chunk is None for chunk in store.drain())
+
+
 # --- per-class divergence diagnostic -------------------------------------------------
 
 

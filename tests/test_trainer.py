@@ -66,10 +66,12 @@ def test_config_rejects_bad_values(kw):
 # --- reduction and warm-up --------------------------------------------------------
 
 
-@pytest.mark.parametrize("ltr", ["ce", "bsce"])
-def test_all_components_off_matches_plain_baseline_bitwise(ltr):
+# KC alone corrects no auxiliary gradient, so it trains the plain baseline too.
+@pytest.mark.parametrize("ltr, use_kc", [("ce", False), ("bsce", False), ("ce", True)],
+                         ids=["ce", "bsce", "ce-kc"])
+def test_all_components_off_matches_plain_baseline_bitwise(ltr, use_kc):
     train, test, split = tiny_sets()
-    cfg = tiny_cfg(ltr_loss=ltr)
+    cfg = tiny_cfg(ltr_loss=ltr, use_kc=use_kc)
     expected = baseline_run(cfg, train, test, split)
 
     state = trainer.init_state(cfg, train)
