@@ -153,9 +153,9 @@ def synth_gaussians(
 
 def augment(batch, sigma_aug: float, seed) -> np.ndarray:
     """Seeded isotropic Gaussian jitter; sigma_aug = 0 is the identity."""
-    x = np.asarray(batch, dtype=np.float64)
     if sigma_aug == 0:
-        return x.copy()
+        return np.array(batch, dtype=np.float64)
+    x = np.asarray(batch, dtype=np.float64)
     rng = np.random.default_rng(seed)
     return x + rng.normal(scale=sigma_aug, size=x.shape)
 

@@ -128,8 +128,9 @@ class TrainerState:
     shuffle_rng: np.random.Generator
     augment_rng: np.random.Generator
     epoch: int = 0
-    cache: reflect.EpochCache | None = None
+    cache: reflect.EpochCache | None = None  # only with KR or the MSE ablation
     soft_labels: reflect.SoftLabels | None = None
+    test_logits: np.ndarray | None = None  # from the last epoch's evaluate
 
 
 def rng_streams(seed: int) -> tuple[np.random.Generator, ...]:
@@ -159,8 +160,9 @@ def assemble_batch_losses(
     cache: reflect.EpochCache | None,
     soft_labels: reflect.SoftLabels | None,
 ):
-    """Returns (ltr, kr, ks). kr/ks are None while inactive (warm-up epoch
-    has no cache, so both regularizers contribute nothing)."""
+    """Returns (ltr, kr, ks). kr/ks are None while inactive: the warm-up
+    epoch has neither a prediction cache nor soft labels, so neither
+    regularizer contributes anything."""
     if cfg.ltr_loss == "bsce":
         ltr = losses.bsce_loss(logits, labels, class_counts)
     else:
@@ -171,8 +173,8 @@ def assemble_batch_losses(
             kr = reflect.kr_batch_loss(cache, indices, logits, cfg.tau)
         elif cfg.use_mse_ablation:
             kr = reflect.mse_batch_loss(cache, indices, logits)
-        if cfg.use_ks and soft_labels is not None:
-            ks = losses.soft_ce(logits, soft_labels.y_hat[labels])
+    if cfg.use_ks and soft_labels is not None:
+        ks = losses.soft_ce(logits, soft_labels.y_hat[labels])
     return ltr, kr, ks
 
 
@@ -184,13 +186,18 @@ def train_epoch(
     split: dict[str, np.ndarray] | None = None,
     on_step=None,
 ) -> tuple[TrainerState, EpochMetrics]:
-    """One shuffled pass; refreshes the prediction cache and class centers
-    at the end. Accuracy fields are filled when a test set is supplied."""
+    """One shuffled pass. It builds only the memory something reads: the
+    prediction cache with KR or the MSE ablation, the class medians and
+    soft labels every epoch with KS and otherwise only in the final epoch
+    (whose similarity matrix run_experiment writes). Accuracy fields and
+    `state.test_logits` are filled when a test set is supplied."""
     n = dataset.num_samples
     lr = cfg.lr * (1.0 - state.epoch / cfg.epochs)
     order = state.shuffle_rng.permutation(n)
-    next_cache = reflect.empty_cache(n, dataset.num_classes)
-    store = reflect.FeatureStore(dataset.num_classes)
+    reads_cache = cfg.use_kr or cfg.use_mse_ablation
+    takes_medians = cfg.use_ks or state.epoch == cfg.epochs - 1
+    next_cache = reflect.empty_cache(n, dataset.num_classes) if reads_cache else None
+    store = reflect.FeatureStore(dataset.num_classes) if takes_medians else None
     spans = state.params.layer_spans()
     starts = np.array([start for _, start, _ in spans])
     layer_hits = np.zeros(len(spans))
@@ -235,8 +242,10 @@ def train_epoch(
             g_update = g_ltr
 
         nn.sgd_step(state.params, g_update, lr, cfg.momentum, state.velocity)
-        reflect.cache_update(next_cache, idx, rec.logits, y)
-        store.add(y, rec.features)
+        if next_cache is not None:
+            reflect.cache_update(next_cache, idx, rec.logits, y)
+        if store is not None:
+            store.add(y, rec.features)
 
         if on_step is not None:
             on_step(
@@ -252,10 +261,11 @@ def train_epoch(
         batches += 1
 
     state.cache = next_cache
-    centers = reflect.class_centers_median(store.drain())
-    state.soft_labels = (
-        reflect.build_soft_labels(centers, cfg.alpha) if centers.valid.all() else None
-    )
+    if store is not None:
+        centers = reflect.class_centers_median(store.drain())
+        state.soft_labels = (
+            reflect.build_soft_labels(centers, cfg.alpha) if centers.valid.all() else None
+        )
 
     metrics = EpochMetrics(
         epoch=state.epoch,
@@ -270,7 +280,8 @@ def train_epoch(
         ),
     )
     if test is not None and split is not None:
-        for key, value in evaluate(state.params, test, split).items():
+        accs, state.test_logits = evaluate(state.params, test, split)
+        for key, value in accs.items():
             setattr(metrics, key, value)
     state.epoch += 1
     return state, metrics
@@ -278,10 +289,11 @@ def train_epoch(
 
 def evaluate(
     params: nn.ModelParams, test_set: data.Dataset, split: dict[str, np.ndarray]
-) -> dict[str, float]:
-    """Top-1 accuracy overall and per many/medium/few bucket. Buckets come
-    from the *training* class counts; acc_all averages over samples, not
-    over buckets. Empty buckets report NaN."""
+) -> tuple[dict[str, float], np.ndarray]:
+    """Top-1 accuracy overall and per many/medium/few bucket, and the test
+    logits they were taken from. Buckets come from the *training* class
+    counts; acc_all averages over samples, not over buckets. Empty buckets
+    report NaN."""
     if test_set.num_samples == 0:
         raise ParameterError("empty test set")
     logits = nn.forward(params, test_set.features.astype(np.float64)).logits
@@ -290,7 +302,7 @@ def evaluate(
     for bucket in ("many", "medium", "few"):
         rows = np.isin(test_set.labels, split[bucket])
         out[f"acc_{bucket}"] = float(correct[rows].mean()) if rows.any() else float("nan")
-    return out
+    return out, logits
 
 
 def default_test_path(dataset_path) -> Path:
@@ -343,20 +355,19 @@ def run_experiment(
     for _ in range(cfg.epochs):
         state, metrics = train_epoch(state, train, cfg, test=test, split=split)
         history.append(metrics)
-        test_logits = nn.forward(state.params, test.features.astype(np.float64)).logits
         if prev_test_logits is not None:
             kl_rows.append(
                 (
                     metrics.epoch,
                     reflect.per_class_adjacent_kl(
                         prev_test_logits,
-                        test_logits,
+                        state.test_logits,
                         test.labels,
                         num_classes=train.num_classes,
                     ),
                 )
             )
-        prev_test_logits = test_logits
+        prev_test_logits = state.test_logits
         for name, rate in metrics.layer_conflict_rates.items():
             conflict_rows.append(
                 (metrics.epoch, name, 1 if rate >= 0.5 else 0, metrics.conflict_fraction)

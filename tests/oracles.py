@@ -35,7 +35,7 @@ def baseline_run(cfg, train, test, split):
             nn.sgd_step(params, g, lr, cfg.momentum, velocity)
             loss_sum += out.value
             batches += 1
-        history.append((loss_sum / batches, trainer.evaluate(params, test, split)))
+        history.append((loss_sum / batches, trainer.evaluate(params, test, split)[0]))
     return history
 
 

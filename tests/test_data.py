@@ -129,9 +129,12 @@ def test_split_is_a_partition(counts):
 
 def test_augment_zero_sigma_is_identity():
     batch = np.random.default_rng(0).normal(size=(8, 3))
-    out = data.augment(batch, 0.0, seed=1)
-    assert np.array_equal(out, batch)
-    assert out is not batch
+    # float32 is how datasets store features
+    for source in (batch, batch.astype(np.float32)):
+        out = data.augment(source, 0.0, seed=1)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, source)
+        assert not np.shares_memory(out, source)
 
 
 def test_augment_fixed_seed_reproduces():

@@ -86,18 +86,22 @@ def test_all_components_off_matches_plain_baseline_bitwise(ltr, use_kc):
 
 def test_warm_up_epoch_contributes_no_regularization():
     train, test, split = tiny_sets()
-    on = tiny_cfg(use_kr=True, use_ks=True, use_kc=True, epochs=2)
     off = tiny_cfg(epochs=2)
-
-    state_on = trainer.init_state(on, train)
-    state_off = trainer.init_state(off, train)
-    state_on, m_on = trainer.train_epoch(state_on, train, on)
-    state_off, m_off = trainer.train_epoch(state_off, train, off)
-    assert m_on.loss_kr == 0.0 and m_on.loss_ks == 0.0
-    assert np.array_equal(state_on.params.flat, state_off.params.flat)
-    # second epoch: the cache exists, regularizers switch on
-    state_on, m_on2 = trainer.train_epoch(state_on, train, on)
-    assert m_on2.loss_kr > 0.0 or m_on2.loss_ks > 0.0
+    state_off, _ = trainer.train_epoch(trainer.init_state(off, train), train, off)
+    # the full stack, and KS alone: without KR there is no prediction cache,
+    # so KS's warm-up gate is its own soft labels
+    for on, switched_on in (
+        (tiny_cfg(use_kr=True, use_ks=True, use_kc=True, epochs=2), ("loss_kr", "loss_ks")),
+        (tiny_cfg(use_ks=True, epochs=2), ("loss_ks",)),
+    ):
+        state_on, m_on = trainer.train_epoch(trainer.init_state(on, train), train, on)
+        assert m_on.loss_kr == 0.0 and m_on.loss_ks == 0.0
+        assert np.array_equal(state_on.params.flat, state_off.params.flat)
+        # second epoch: the cache (KR) and the soft labels (KS) exist, so
+        # the regularizers switch on
+        state_on, m_on2 = trainer.train_epoch(state_on, train, on)
+        for name in switched_on:
+            assert getattr(m_on2, name) > 0.0, (on, name)
 
 
 def test_two_runs_identical_metrics_stream():
@@ -114,6 +118,30 @@ def test_two_runs_identical_metrics_stream():
 
     for a, b in zip(collect(), collect()):
         assert metrics_equal(a, b)
+
+
+def recording(monkeypatch, module, name):
+    """Wrap module.name; the returned list gets each call's arguments."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_no_prediction_cache_without_kr_or_mse_ablation(monkeypatch):
+    train, test, split = tiny_sets()
+    calls = recording(monkeypatch, reflect, "cache_update")
+    cfg = tiny_cfg(use_ks=True, use_kc=True, epochs=3)
+    state = trainer.init_state(cfg, train)
+    for _ in range(cfg.epochs):
+        state, _ = trainer.train_epoch(state, train, cfg)
+        assert state.cache is None
+    assert calls == []
 
 
 # --- loss bookkeeping ----------------------------------------------------------------
@@ -198,7 +226,7 @@ def test_evaluate_oracle_model_is_perfect():
         [train.features[train.labels == c].mean(axis=0) for c in range(classes)]
     ).astype(np.float64)
     params = nn.ModelParams(layers=[(centers, -0.5 * (centers**2).sum(axis=1))])
-    accs = trainer.evaluate(params, test, split)
+    accs, _ = trainer.evaluate(params, test, split)
     assert accs["acc_all"] == 1.0
 
 
@@ -209,7 +237,7 @@ def test_evaluate_constant_model_hits_chance():
     bias = np.zeros(classes)
     bias[0] = 1.0
     params = nn.ModelParams(layers=[(np.zeros((classes, 4)), bias)])
-    accs = trainer.evaluate(params, test, split)
+    accs, _ = trainer.evaluate(params, test, split)
     assert accs["acc_all"] == 1.0 / classes
 
 
@@ -217,7 +245,7 @@ def test_evaluate_random_model_two_classes_binomial():
     test = data.synth_gaussians(2, 4, np.array([5000, 5000]), 0.0, 1.0, seed=3)
     split = data.split_classes(np.array([5000, 5000]))
     params = nn.init_params(4, 2, 0, np.random.default_rng(4))
-    accs = trainer.evaluate(params, test, split)
+    accs, _ = trainer.evaluate(params, test, split)
     assert abs(accs["acc_all"] - 0.5) < 3 * np.sqrt(0.25 / 10_000)
 
 
@@ -264,6 +292,25 @@ def test_run_experiment_is_deterministic_on_disk(tmp_path):
     trainer.run_experiment(cfg, train_path, tmp_path / "b", echo="x")
     for name in ("metrics.csv", "conflicts.csv", "class_kl.csv", "summary.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_run_experiment_takes_class_medians_once_without_ks(tmp_path, monkeypatch):
+    train_path = write_tiny_pair(tmp_path)
+    calls = recording(monkeypatch, reflect, "class_centers_median")
+    cfg = tiny_cfg(use_kr=True, use_kc=True, epochs=3)
+    trainer.run_experiment(cfg, train_path, tmp_path / "run")
+    assert len(calls) == 1
+    assert (tmp_path / "run" / "similarity.csv").exists()
+
+
+def test_run_experiment_forwards_the_test_set_once_per_epoch(tmp_path, monkeypatch):
+    train_path = write_tiny_pair(tmp_path)
+    test_rows = data.load_dataset(trainer.default_test_path(train_path)).num_samples
+    cfg = tiny_cfg(use_kr=True, use_ks=True, use_kc=True, epochs=3)
+    assert test_rows > cfg.batch_size  # no training batch is counted
+    calls = recording(monkeypatch, nn, "forward")
+    trainer.run_experiment(cfg, train_path, tmp_path / "run")
+    assert sum(len(x) == test_rows for _, x in calls) == cfg.epochs
 
 
 def test_run_experiment_missing_dataset_names_path(tmp_path):
