@@ -47,16 +47,37 @@ def _check_labels(labels, num_classes: int) -> np.ndarray:
     return lab.astype(np.intp)
 
 
-def ce_loss(logits, labels) -> LossOutput:
-    """Mean cross-entropy at temperature 1."""
+def log_softmax(logits) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise log-probabilities of a [B, C] logits batch, and their exp.
+    Each row depends on that row alone, so the bits of a row do not depend
+    on which batch it is taken in."""
+    logp = _log_softmax(_as_logits(logits))
+    return logp, np.exp(logp)
+
+
+def _check_log_probs(log_probs, shape) -> tuple[np.ndarray, np.ndarray]:
+    logp, probs = log_probs
+    if logp.shape != shape or probs.shape != shape:
+        raise DimensionError(f"log-probabilities {logp.shape} must match logits {shape}")
+    return logp, probs
+
+
+def ce_loss(logits, labels, log_probs=None) -> LossOutput:
+    """Mean cross-entropy at temperature 1. `log_probs` is the batch's
+    log_softmax(logits) when the caller has taken it already; it is read,
+    not written."""
     arr = _as_logits(logits)
     lab = _check_labels(labels, arr.shape[1])
     if lab.shape[0] != arr.shape[0]:
         raise DimensionError("labels length must match batch size")
     batch = arr.shape[0]
-    logp = _log_softmax(arr)
-    value = -logp[np.arange(batch), lab].mean()
-    dlogits = np.exp(logp)
+    if log_probs is None:
+        logp = _log_softmax(arr)
+        dlogits = np.exp(logp)
+    else:
+        logp, probs = _check_log_probs(log_probs, arr.shape)
+        dlogits = probs.copy()
+    value = -(logp[np.arange(batch), lab].sum() / batch)
     dlogits[np.arange(batch), lab] -= 1.0
     dlogits /= batch
     return LossOutput(float(value), dlogits)
@@ -81,32 +102,42 @@ def bsce_loss(logits, labels, class_counts) -> LossOutput:
     return ce_loss(adjusted, labels)
 
 
+def tempered_targets(prev_logits, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """kl_distill's soft targets: log_softmax(prev_logits / tau) and its exp."""
+    if tau <= 0:
+        raise ParameterError(f"temperature must be positive, got {tau}")
+    return log_softmax(_as_logits(prev_logits) / tau)
+
+
 def kl_distill(prev_logits, cur_logits, tau: float = 1.0) -> LossOutput:
     """Temperature-scaled KL(prev || cur), batch mean, with the tau^2 prefactor.
 
     prev_logits is a constant soft target; the gradient (tau * (p_cur -
     p_prev) / B) flows only to cur_logits.
     """
-    if tau <= 0:
-        raise ParameterError(f"temperature must be positive, got {tau}")
-    prev = _as_logits(prev_logits)
+    return kl_to_targets(tempered_targets(prev_logits, tau), cur_logits, tau)
+
+
+def kl_to_targets(targets, cur_logits, tau: float) -> LossOutput:
+    """kl_distill from targets = tempered_targets(prev_logits, tau) taken
+    beforehand, bit for bit."""
     cur = _as_logits(cur_logits)
-    if prev.shape != cur.shape:
-        raise DimensionError(f"logit shapes differ: {prev.shape} vs {cur.shape}")
+    logp_prev, p_prev = targets
+    if logp_prev.shape != cur.shape:
+        raise DimensionError(f"logit shapes differ: {logp_prev.shape} vs {cur.shape}")
     batch = cur.shape[0]
-    logp_prev = _log_softmax(prev / tau)
     logp_cur = _log_softmax(cur / tau)
-    p_prev = np.exp(logp_prev)
     # 0 * log 0 := 0 (p_prev underflows to 0 before logp_prev hits -inf)
     per_row = tau * tau * np.where(
         p_prev > 0, p_prev * (logp_prev - logp_cur), 0.0
     ).sum(axis=1)
     dlogits = tau * (np.exp(logp_cur) - p_prev) / batch
-    return LossOutput(float(per_row.mean()), dlogits)
+    return LossOutput(float(per_row.sum() / batch), dlogits)
 
 
-def soft_ce(logits, soft_labels) -> LossOutput:
-    """Cross-entropy against (possibly unnormalized) non-negative soft targets."""
+def soft_ce(logits, soft_labels, log_probs=None) -> LossOutput:
+    """Cross-entropy against (possibly unnormalized) non-negative soft
+    targets. `log_probs` as in ce_loss."""
     arr = _as_logits(logits)
     targets = np.asarray(soft_labels, dtype=np.float64)
     if targets.shape != arr.shape:
@@ -116,10 +147,14 @@ def soft_ce(logits, soft_labels) -> LossOutput:
     if (targets < 0).any():
         raise ParameterError("soft labels must be non-negative")
     batch = arr.shape[0]
-    logp = _log_softmax(arr)
-    value = -(targets * logp).sum(axis=1).mean()
+    if log_probs is None:
+        logp = _log_softmax(arr)
+        probs = np.exp(logp)
+    else:
+        logp, probs = _check_log_probs(log_probs, arr.shape)
+    value = -((targets * logp).sum(axis=1).sum() / batch)
     row_mass = targets.sum(axis=1, keepdims=True)
-    dlogits = (row_mass * np.exp(logp) - targets) / batch
+    dlogits = (row_mass * probs - targets) / batch
     return LossOutput(float(value), dlogits)
 
 
@@ -131,5 +166,5 @@ def mse_logits(prev_logits, cur_logits) -> LossOutput:
         raise DimensionError(f"logit shapes differ: {prev.shape} vs {cur.shape}")
     batch = cur.shape[0]
     diff = cur - prev
-    value = 0.5 * (diff * diff).sum(axis=1).mean()
+    value = 0.5 * ((diff * diff).sum(axis=1).sum() / batch)
     return LossOutput(float(value), diff / batch)

@@ -107,17 +107,23 @@ def forward(params: ModelParams, batch) -> ForwardRecord:
 
 
 def backward(params: ModelParams, record: ForwardRecord, dloss_dlogits) -> np.ndarray:
-    """Flat gradient of a scalar loss given its logit-gradient."""
+    """Flat gradient of a scalar loss given its logit-gradient [B, C]; for a
+    stack of K logit-gradients [K, B, C], the K flat gradients as [K, P],
+    each bitwise equal to its own call."""
     g = np.asarray(dloss_dlogits, dtype=np.float64)
-    if g.shape != record.logits.shape:
+    if g.shape[-2:] != record.logits.shape or g.ndim not in (2, 3):
         raise DimensionError(
-            f"dloss_dlogits shape {g.shape} must match logits {record.logits.shape}"
+            f"dloss_dlogits shape {g.shape} must be logits {record.logits.shape} "
+            "or a stack of them"
         )
-    grads = [(g.T @ record.features, g.sum(axis=0))]
+    grads = [(g.swapaxes(-1, -2) @ record.features, g.sum(axis=-2))]
     if len(params.layers) == 2:
         d_hidden = (g @ params.layers[1][0]) * (record.features > 0)
-        grads.insert(0, (d_hidden.T @ record.inputs, d_hidden.sum(axis=0)))
-    return np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in grads])
+        grads.insert(0, (d_hidden.swapaxes(-1, -2) @ record.inputs, d_hidden.sum(axis=-2)))
+    stack = g.shape[:-2]
+    return np.concatenate(
+        [part for dw, db in grads for part in (dw.reshape(*stack, -1), db)], axis=-1
+    )
 
 
 def sgd_step(

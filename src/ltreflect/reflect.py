@@ -5,13 +5,13 @@ per-class divergence diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import artifacts
 from .errors import DimensionError, ParameterError, StateError
-from .losses import LossOutput, kl_distill, mse_logits
+from .losses import LossOutput, kl_distill, kl_to_targets, mse_logits, tempered_targets
 
 _ZERO_NORM = 1e-12
 
@@ -20,6 +20,9 @@ _ZERO_NORM = 1e-12
 class EpochCache:
     prev_logits: np.ndarray  # [N, C], rows indexed by dataset position
     correct_mask: np.ndarray  # bool [N]: argmax(prev_logits) == label when cached
+    # (tau, tempered_targets(prev_logits, tau)) as kr_batch_loss last took
+    # them over all N rows; cache_update drops it
+    tempered: tuple | None = field(default=None, repr=False)
 
 
 def empty_cache(num_samples: int, num_classes: int) -> EpochCache:
@@ -49,6 +52,7 @@ def cache_update(cache: EpochCache, indices, logits, labels) -> EpochCache:
         )
     cache.prev_logits[idx] = arr
     cache.correct_mask[idx] = arr.argmax(axis=1) == lab
+    cache.tempered = None
     return cache
 
 
@@ -61,7 +65,7 @@ def _masked_batch_loss(cache, indices, cur_logits, loss_fn) -> LossOutput:
     dlogits = np.zeros_like(cur)
     if not mask.any():
         return LossOutput(0.0, dlogits)
-    out = loss_fn(cache.prev_logits[idx[mask]], cur[mask])
+    out = loss_fn(idx[mask], cur[mask])
     dlogits[mask] = out.dlogits
     return LossOutput(out.value, dlogits)
 
@@ -70,15 +74,25 @@ def kr_batch_loss(cache: EpochCache, indices, cur_logits, tau: float) -> LossOut
     """Distillation toward the cached predictions, restricted to rows the
     previous epoch classified correctly; the mean is over qualifying rows.
     Rows outside the filter get exactly-zero gradient.
+
+    The tempered targets are taken once per cache state and tau, over all
+    rows: row-wise, so each row's bits equal kl_distill's on the batch.
     """
-    return _masked_batch_loss(
-        cache, indices, cur_logits, lambda p, c: kl_distill(p, c, tau)
-    )
+    if cache is not None and (cache.tempered is None or cache.tempered[0] != tau):
+        cache.tempered = (tau, tempered_targets(cache.prev_logits, tau))
+
+    def review(rows, cur):
+        logp, probs = cache.tempered[1]
+        return kl_to_targets((logp[rows], probs[rows]), cur, tau)
+
+    return _masked_batch_loss(cache, indices, cur_logits, review)
 
 
 def mse_batch_loss(cache: EpochCache, indices, cur_logits) -> LossOutput:
     """Direct logit matching under the same correctness filter as kr_batch_loss."""
-    return _masked_batch_loss(cache, indices, cur_logits, mse_logits)
+    return _masked_batch_loss(
+        cache, indices, cur_logits, lambda rows, cur: mse_logits(cache.prev_logits[rows], cur)
+    )
 
 
 class FeatureStore:

@@ -1,10 +1,11 @@
-"""Training orchestration: per-batch loss assembly, two-pass backward,
+"""Training orchestration: per-batch loss assembly, one stacked backward,
 conflict-corrected updates, per-epoch memory refresh, evaluation buckets,
 and what a run directory holds (`artifacts` owns the file format).
 """
 
 from __future__ import annotations
 
+import math
 import shlex
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -162,19 +163,21 @@ def assemble_batch_losses(
 ):
     """Returns (ltr, kr, ks). kr/ks are None while inactive: the warm-up
     epoch has neither a prediction cache nor soft labels, so neither
-    regularizer contributes anything."""
+    regularizer contributes anything. With KS on, CE and soft_ce share one
+    log-softmax of the logits; BSCE takes its own, of the shifted logits."""
+    raw = losses.log_softmax(logits) if cfg.use_ks and soft_labels is not None else None
     if cfg.ltr_loss == "bsce":
         ltr = losses.bsce_loss(logits, labels, class_counts)
     else:
-        ltr = losses.ce_loss(logits, labels)
+        ltr = losses.ce_loss(logits, labels, raw)
     kr = ks = None
     if cache is not None:
         if cfg.use_kr:
             kr = reflect.kr_batch_loss(cache, indices, logits, cfg.tau)
         elif cfg.use_mse_ablation:
             kr = reflect.mse_batch_loss(cache, indices, logits)
-    if cfg.use_ks and soft_labels is not None:
-        ks = losses.soft_ce(logits, soft_labels.y_hat[labels])
+    if raw is not None:
+        ks = losses.soft_ce(logits, soft_labels.y_hat[labels], raw)
     return ltr, kr, ks
 
 
@@ -214,32 +217,33 @@ def train_epoch(
             cfg, rec.logits, idx, y, dataset.class_counts, state.cache, state.soft_labels
         )
         for name, out in (("ltr", ltr), ("kr", kr), ("ks", ks)):
-            if out is not None and not np.isfinite(out.value):
+            if out is not None and not math.isfinite(out.value):
                 raise NumericError(
                     f"non-finite {name} loss at epoch {state.epoch}, batch {batches}"
                 )
             sums[name] += out.value if out is not None else 0.0
 
-        g_ltr = nn.backward(state.params, rec, ltr.dlogits)
         g_aux = None
         conflicted = False
         if kr is not None or ks is not None:
-            aux_dlogits = np.zeros_like(rec.logits)
+            # backward is linear in dlogits: one stacked pass gives both gradients
+            dlogits = np.zeros((2, *rec.logits.shape))
+            dlogits[0] = ltr.dlogits
             if kr is not None:
-                aux_dlogits += kr.dlogits
+                dlogits[1] += kr.dlogits
             if ks is not None:
-                aux_dlogits += ks.dlogits
-            g_aux = nn.backward(state.params, rec, aux_dlogits)
+                dlogits[1] += ks.dlogits
+            g_ltr, g_aux = nn.backward(state.params, rec, dlogits)
             flags = conflict.conflict_stats(g_ltr, g_aux, starts)
             layer_hits += flags
-            sums["conflict"] += float(flags.mean())
+            sums["conflict"] += float(flags.sum() / flags.size)
             aux_batches += 1
             if cfg.use_kc:
                 g_update, conflicted = conflict.project_if_conflict(g_ltr, g_aux)
             else:
                 g_update = g_ltr + g_aux
         else:
-            g_update = g_ltr
+            g_ltr = g_update = nn.backward(state.params, rec, ltr.dlogits)
 
         nn.sgd_step(state.params, g_update, lr, cfg.momentum, state.velocity)
         if next_cache is not None:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ltreflect import data, losses, nn, trainer
+from ltreflect import conflict, data, losses, nn, reflect, trainer
 
 
 def baseline_run(cfg, train, test, split):
@@ -37,6 +37,93 @@ def baseline_run(cfg, train, test, split):
             batches += 1
         history.append((loss_sum / batches, trainer.evaluate(params, test, split)[0]))
     return history
+
+
+def serial_run(cfg, train, test, split):
+    """The trainer's epoch loop written out one call per loss: CE/BSCE,
+    review KL (`kl_distill`) or MSE on the rows the previous epoch got
+    right, soft CE with its own log-softmax, and one backward pass per
+    gradient. The class medians are taken every epoch. Returns (params,
+    velocity, per-epoch EpochMetrics, last soft labels); train_epoch must
+    match all of it bit for bit."""
+    init_rng, shuffle_rng, augment_rng = trainer.rng_streams(cfg.seed)
+    params = nn.init_params(train.dim, train.num_classes, cfg.hidden_dim, init_rng)
+    velocity = np.zeros(params.num_params)
+    spans = params.layer_spans()
+    starts = np.array([start for _, start, _ in spans])
+    cache = soft_labels = None
+    history = []
+    for epoch in range(cfg.epochs):
+        lr = cfg.lr * (1.0 - epoch / cfg.epochs)
+        order = shuffle_rng.permutation(train.num_samples)
+        next_cache = reflect.empty_cache(train.num_samples, train.num_classes)
+        store = reflect.FeatureStore(train.num_classes)
+        sums = {"ltr": 0.0, "kr": 0.0, "ks": 0.0, "conflict": 0.0}
+        layer_hits = np.zeros(len(spans))
+        batches = aux_batches = 0
+        for start in range(0, train.num_samples, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            x = data.augment(train.features[idx], cfg.sigma_aug, augment_rng)
+            y = train.labels[idx]
+            rec = nn.forward(params, x)
+            if cfg.ltr_loss == "bsce":
+                ltr = losses.bsce_loss(rec.logits, y, train.class_counts)
+            else:
+                ltr = losses.ce_loss(rec.logits, y)
+            sums["ltr"] += ltr.value
+            aux = np.zeros_like(rec.logits)
+            has_aux = False
+            if cache is not None and (cfg.use_kr or cfg.use_mse_ablation):
+                mask = cache.correct_mask[idx]
+                if mask.any():
+                    prev = cache.prev_logits[idx[mask]]
+                    if cfg.use_kr:
+                        kr = losses.kl_distill(prev, rec.logits[mask], cfg.tau)
+                    else:
+                        kr = losses.mse_logits(prev, rec.logits[mask])
+                    sums["kr"] += kr.value
+                    aux[mask] += kr.dlogits
+                has_aux = True
+            if cfg.use_ks and soft_labels is not None:
+                ks = losses.soft_ce(rec.logits, soft_labels.y_hat[y])
+                sums["ks"] += ks.value
+                aux += ks.dlogits
+                has_aux = True
+            g_ltr = nn.backward(params, rec, ltr.dlogits)
+            if has_aux:
+                g_aux = nn.backward(params, rec, aux)
+                flags = conflict.conflict_stats(g_ltr, g_aux, starts)
+                layer_hits += flags
+                sums["conflict"] += float(flags.mean())
+                aux_batches += 1
+                if cfg.use_kc:
+                    g_ltr, _ = conflict.project_if_conflict(g_ltr, g_aux)
+                else:
+                    g_ltr = g_ltr + g_aux
+            nn.sgd_step(params, g_ltr, lr, cfg.momentum, velocity)
+            reflect.cache_update(next_cache, idx, rec.logits, y)
+            store.add(y, rec.features)
+            batches += 1
+        cache = next_cache
+        centers = reflect.class_centers_median(store.drain())
+        soft_labels = reflect.build_soft_labels(centers, cfg.alpha) if centers.valid.all() else None
+        accs, _ = trainer.evaluate(params, test, split)
+        history.append(
+            trainer.EpochMetrics(
+                epoch=epoch,
+                loss_ltr=sums["ltr"] / batches,
+                loss_kr=sums["kr"] / batches,
+                loss_ks=sums["ks"] / batches,
+                conflict_fraction=sums["conflict"] / aux_batches if aux_batches else 0.0,
+                layer_conflict_rates={
+                    name: float(hits / aux_batches)
+                    for (name, _, _), hits in zip(spans, layer_hits)
+                    if aux_batches
+                },
+                **accs,
+            )
+        )
+    return params, velocity, history, soft_labels
 
 
 def fd_grad_logits(loss_value_fn, logits, step: float = 1e-5) -> np.ndarray:

@@ -3,7 +3,10 @@ in the program must fail here instead of leaving the benchmark to report
 zero calls for the function it can no longer find."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 import ltreflect
 
@@ -25,3 +28,18 @@ def test_every_tracer_target_resolves():
         pass
     assert traced.missing == []
     assert traced.names == list(tracer.TARGETS)
+
+
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_committed_bench_record_compares_like_with_like(path):
+    """A BENCH_<n>.json holds parent and change runs of every workload that
+    made the same artifacts and traced every target."""
+    record = json.loads(path.read_text())
+    for workload in WORKLOADS:
+        parent, change = record["parent"][workload], record["change"][workload]
+        assert parent["workload"] == change["workload"] == workload
+        assert parent["digest"] == change["digest"], workload
+        assert parent["missing_targets"] == change["missing_targets"] == [], workload

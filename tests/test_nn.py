@@ -136,12 +136,31 @@ def test_backward_single_row_outer_product():
     assert np.allclose(g[12:], dlogits[0], atol=1e-15)
 
 
-def test_backward_rejects_shape_mismatch():
+@pytest.mark.parametrize("shape", [(2, 4), (3,), (3, 2, 4), (2, 3, 3), (1, 1, 2, 3)])
+def test_backward_rejects_shape_mismatch(shape):
     rng = np.random.default_rng(5)
     params = nn.init_params(4, 3, 0, rng)
     rec = nn.forward(params, rng.normal(size=(2, 4)))
     with pytest.raises(DimensionError):
-        nn.backward(params, rec, np.zeros((2, 4)))
+        nn.backward(params, rec, np.zeros(shape))
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0, 32]),
+    st.integers(1, 3),
+    st.sampled_from([1.0, 1e-13, 0.0]),
+    st.integers(1, 16),
+)
+def test_stacked_backward_matches_separate_calls_bitwise(seed, hidden, k, scale, batch):
+    rng = np.random.default_rng(seed)
+    params = nn.init_params(32, 20, hidden, rng)
+    rec = nn.forward(params, rng.normal(size=(batch, 32)))
+    g = rng.normal(size=(k, batch, 20)) * scale
+    stacked = nn.backward(params, rec, g)
+    assert stacked.shape == (k, params.num_params)
+    for row, one in zip(stacked, g):
+        assert row.tobytes() == nn.backward(params, rec, one.copy()).tobytes()
 
 
 @pytest.mark.parametrize("hidden", [0, 5])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltreflect import nn, reflect
+from ltreflect import losses, nn, reflect
 from ltreflect.errors import ParameterError, StateError
 
 
@@ -87,6 +87,26 @@ def test_kr_gradient_rows_exactly_zero_outside_filter(seed):
     for row, ds_index in enumerate(idx):
         if not cache.correct_mask[ds_index]:
             assert np.array_equal(out.dlogits[row], np.zeros(c))
+
+
+def test_kr_targets_follow_cache_updates_and_tau():
+    rng = np.random.default_rng(23)
+    n, c = 12, 4
+    labels = rng.integers(0, c, size=n)
+    cache = reflect.empty_cache(n, c)
+    reflect.cache_update(cache, np.arange(n), rng.normal(size=(n, c)), labels)
+    idx = rng.permutation(n)[:8]
+    cur = rng.normal(size=(8, c))
+    reflect.kr_batch_loss(cache, idx, cur, tau=2.0)  # takes the tempered targets
+    # rewrite the batch's rows with new logits that the filter passes
+    fresh = rng.normal(size=(8, c))
+    fresh[np.arange(8), labels[idx]] = fresh.max(axis=1) + 1.0
+    reflect.cache_update(cache, idx, fresh, labels[idx])
+    for tau in (2.0, 3.0):
+        out = reflect.kr_batch_loss(cache, idx, cur, tau)
+        ref = losses.kl_distill(cache.prev_logits[idx], cur, tau)
+        assert out.value == ref.value
+        assert out.dlogits.tobytes() == ref.dlogits.tobytes()
 
 
 def test_mse_batch_loss_same_filter():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from ltreflect import data, nn, reflect, trainer
 from ltreflect.errors import NumericError, ParameterError
 
-from oracles import baseline_run
+from oracles import baseline_run, serial_run
 
 
 def tiny_sets(seed=0, classes=5, dim=6):
@@ -142,6 +143,60 @@ def test_no_prediction_cache_without_kr_or_mse_ablation(monkeypatch):
         state, _ = trainer.train_epoch(state, train, cfg)
         assert state.cache is None
     assert calls == []
+
+
+# --- the serial oracle ---------------------------------------------------------------
+
+
+def stock_sets(seed=7):
+    """The shapes of `synth`'s defaults: 20 classes, 32 dims, 4 similar pairs."""
+    classes = 20
+    counts = data.longtail_counts(classes, 200, 100.0)
+    pairs = [(i, classes // 2 + i, 0.8) for i in range(4)]
+    train = data.synth_gaussians(classes, 32, counts, 3.0, 1.0, pairs, seed=seed)
+    test = data.synth_gaussians(
+        classes, 32, np.full(classes, 50), 3.0, 1.0, pairs, seed=seed, noise_seed=seed + 1
+    )
+    return train, test, data.split_classes(train.class_counts)
+
+
+FULL_STACK = dict(use_kr=True, use_ks=True, use_kc=True)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        FULL_STACK,
+        dict(FULL_STACK, ltr_loss="bsce"),
+        dict(use_kr=True, use_ks=True),
+        dict(use_mse_ablation=True, use_ks=True, use_kc=True, lr=0.01),
+        dict(FULL_STACK, sigma_aug=0.3),
+        dict(hidden_dim=0, use_kr=True, use_kc=True),
+    ],
+    ids=["ce", "bsce", "kr-ks", "mse-ks-kc", "sigma-aug", "linear-kr-kc"],
+)
+def test_train_epoch_matches_the_serial_oracle_bitwise(kw):
+    train, test, split = stock_sets()
+    cfg = trainer.TrainConfig(alpha=0.95, epochs=3, **kw)
+    params, velocity, history, soft_labels = serial_run(cfg, train, test, split)
+    state = trainer.init_state(cfg, train)
+    for expected in history:
+        state, metrics = trainer.train_epoch(state, train, cfg, test=test, split=split)
+        assert repr(asdict(metrics)) == repr(asdict(expected))  # repr tells -0.0 and nan apart
+    assert state.params.flat.tobytes() == params.flat.tobytes()
+    assert state.velocity.tobytes() == velocity.tobytes()
+    assert state.soft_labels.M.tobytes() == soft_labels.M.tobytes()
+
+
+def test_full_stack_epoch_runs_one_backward_per_batch(monkeypatch):
+    train, test, split = tiny_sets()
+    cfg = tiny_cfg(**FULL_STACK, epochs=2)
+    state, _ = trainer.train_epoch(trainer.init_state(cfg, train), train, cfg)
+    calls = recording(monkeypatch, nn, "backward")
+    steps = []
+    trainer.train_epoch(state, train, cfg, on_step=steps.append)
+    assert all(step["g_aux"] is not None for step in steps)
+    assert len(calls) == len(steps)
 
 
 # --- loss bookkeeping ----------------------------------------------------------------
