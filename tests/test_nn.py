@@ -136,8 +136,16 @@ def test_backward_single_row_outer_product():
     assert np.allclose(g[12:], dlogits[0], atol=1e-15)
 
 
-@pytest.mark.parametrize("shape", [(2, 4), (3,), (3, 2, 4), (2, 3, 3), (1, 1, 2, 3)])
-def test_backward_rejects_shape_mismatch(shape):
+def test_backward_rejects_shape_mismatch():
+    rng = np.random.default_rng(5)
+    params = nn.init_params(4, 3, 0, rng)
+    rec = nn.forward(params, rng.normal(size=(2, 4)))
+    with pytest.raises(DimensionError):
+        nn.backward(params, rec, np.zeros((2, 4)))
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 2, 4), (2, 3, 3), (1, 1, 2, 3)])
+def test_backward_rejects_stack_shape_mismatch(shape):
     rng = np.random.default_rng(5)
     params = nn.init_params(4, 3, 0, rng)
     rec = nn.forward(params, rng.normal(size=(2, 4)))
