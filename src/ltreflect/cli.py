@@ -91,6 +91,8 @@ def _config_from_args(args) -> trainer.TrainConfig:
 
 
 def cmd_synth(args) -> int:
+    if args.seed < 0:
+        raise ParameterError(f"--seed must be >= 0, got {args.seed}")
     if not np.isfinite(args.class_sep):
         raise ParameterError(f"--class-sep must be finite, got {args.class_sep}")
     counts = data.longtail_counts(args.classes, args.n_max, args.imbalance_factor)

@@ -35,20 +35,27 @@ FEW_THRESHOLD = 20
 
 @dataclass
 class Dataset:
+    """Every class has at least one sample, so every class has a median
+    center and a BSCE prior, and no set is empty."""
+
     features: np.ndarray  # float32 [N, D]
     labels: np.ndarray  # int64 [N], values in [0, C)
-    class_counts: np.ndarray  # int64 [C], non-increasing
+    class_counts: np.ndarray  # int64 [C], non-increasing, each >= 1
 
     def __post_init__(self):
         self.features = np.ascontiguousarray(self.features, dtype=np.float32)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.class_counts = np.asarray(self.class_counts, dtype=np.int64)
         n, c = self.features.shape[0], self.class_counts.shape[0]
+        if c == 0:
+            raise ParameterError("class count C must be >= 1")
+        if self.class_counts.min() < 1:
+            raise ParameterError("every class count must be >= 1")
         if self.labels.shape != (n,):
             raise ParameterError("labels length must equal feature row count")
         if self.class_counts.sum() != n:
             raise ParameterError("class counts must sum to the sample count")
-        if n and (self.labels.min() < 0 or self.labels.max() >= c):
+        if self.labels.min() < 0 or self.labels.max() >= c:
             raise ParameterError(f"labels must lie in [0, {c})")
         actual = np.bincount(self.labels, minlength=c)
         if not np.array_equal(actual, self.class_counts):

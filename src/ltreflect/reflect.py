@@ -96,38 +96,14 @@ def mse_batch_loss(cache: EpochCache, indices, cur_logits) -> LossOutput:
 
 
 class FeatureStore:
-    """Feature rows collected over one epoch, whole batches at a time;
-    drained once the medians are taken so memory stays bounded at a
-    single epoch."""
+    """One epoch's feature rows in one [N, H] buffer, each batch written at
+    its dataset positions the way cache_update writes logits."""
 
-    def __init__(self, num_classes: int):
-        self._num_classes = num_classes
-        self._labels: list[np.ndarray] = []
-        self._features: list[np.ndarray] = []
+    def __init__(self, num_samples: int, dim: int):
+        self.features = np.zeros((num_samples, dim))
 
-    def add(self, labels, features) -> None:
-        self._labels.append(np.array(labels, dtype=np.intp))
-        self._features.append(np.array(features, dtype=np.float64))
-
-    def drain(self) -> list[np.ndarray | None]:
-        """Each class's rows in arrival order (None for a class with no
-        rows); the store is empty afterwards."""
-        if not self._labels:
-            return [None] * self._num_classes
-        labels = np.concatenate(self._labels)
-        feats = np.concatenate(self._features)
-        self._labels, self._features = [], []
-        counts = np.bincount(labels, minlength=self._num_classes)
-        by_class = np.split(np.argsort(labels, kind="stable"), np.cumsum(counts)[:-1])
-        # one copy per class, not one sorted copy of the epoch: the smaller
-        # copies reuse the freed batch chunks' memory, which keeps peak RSS down
-        return [feats[rows] if rows.size else None for rows in by_class]
-
-
-@dataclass
-class ClassCenters:
-    centers: np.ndarray  # [C, H]
-    valid: np.ndarray  # bool [C]; False = class never seen, center must not be read
+    def add(self, indices, features) -> None:
+        self.features[indices] = features
 
 
 @dataclass
@@ -136,32 +112,24 @@ class SoftLabels:
     y_hat: np.ndarray  # [C, C] reconstructed soft targets, row r for class r
 
 
-def class_centers_median(features_by_class) -> ClassCenters:
-    """Per-class, per-dimension median (even counts average the middle two)."""
-    num_classes = len(features_by_class)
-    dim = next(
-        (f.shape[1] for f in features_by_class if f is not None and len(f)), 0
-    )
-    centers = np.zeros((num_classes, dim))
-    valid = np.zeros(num_classes, dtype=bool)
-    for c, feats in enumerate(features_by_class):
-        if feats is None or len(feats) == 0:
-            continue
-        centers[c] = np.median(np.asarray(feats, dtype=np.float64), axis=0)
-        valid[c] = True
-    return ClassCenters(centers=centers, valid=valid)
+def class_centers_median(
+    features: np.ndarray, labels: np.ndarray, num_classes: int
+) -> np.ndarray:
+    """[C, H] per-class, per-dimension median of the rows labelled with each
+    class (even counts average the middle two). The median does not depend
+    on row order, so these are the medians of the rows in arrival order.
+    Every class has a row: a `data.Dataset` invariant."""
+    return np.stack([np.median(features[labels == c], axis=0) for c in range(num_classes)])
 
 
-def similarity_matrix(centers: ClassCenters) -> np.ndarray:
-    """Cosine similarity between class centers: symmetric, unit diagonal,
-    entries clipped to [-1, 1]; zero-norm centers get zero off-diagonals."""
-    if not centers.valid.all():
-        bad = np.flatnonzero(~centers.valid).tolist()
-        raise StateError(f"classes without centers: {bad}")
-    norms = np.linalg.norm(centers.centers, axis=1)
+def similarity_matrix(centers: np.ndarray) -> np.ndarray:
+    """Cosine similarity between the [C, H] class centers: symmetric, unit
+    diagonal, entries clipped to [-1, 1]; zero-norm centers get zero
+    off-diagonals."""
+    norms = np.linalg.norm(centers, axis=1)
     nonzero = norms > _ZERO_NORM
-    unit = np.zeros_like(centers.centers)
-    unit[nonzero] = centers.centers[nonzero] / norms[nonzero, None]
+    unit = np.zeros_like(centers)
+    unit[nonzero] = centers[nonzero] / norms[nonzero, None]
     m = unit @ unit.T
     m = np.clip((m + m.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(m, 1.0)
@@ -180,7 +148,7 @@ def reconstruct_labels(similarity, alpha: float) -> np.ndarray:
     return alpha * np.eye(m.shape[0]) + (1.0 - alpha) * m
 
 
-def build_soft_labels(centers: ClassCenters, alpha: float) -> SoftLabels:
+def build_soft_labels(centers: np.ndarray, alpha: float) -> SoftLabels:
     m = similarity_matrix(centers)
     return SoftLabels(M=m, y_hat=reconstruct_labels(m, alpha))
 

@@ -67,6 +67,8 @@ class TrainConfig:
             raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.sigma_aug < 0:
             raise ParameterError(f"sigma_aug must be >= 0, got {self.sigma_aug}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.hidden_dim < 0:
             raise ParameterError(f"hidden_dim must be >= 0, got {self.hidden_dim}")
         if self.use_ks and self.hidden_dim == 0:
@@ -200,7 +202,8 @@ def train_epoch(
     reads_cache = cfg.use_kr or cfg.use_mse_ablation
     takes_medians = cfg.use_ks or state.epoch == cfg.epochs - 1
     next_cache = reflect.empty_cache(n, dataset.num_classes) if reads_cache else None
-    store = reflect.FeatureStore(dataset.num_classes) if takes_medians else None
+    feature_dim = state.params.layers[-1][0].shape[1]
+    store = reflect.FeatureStore(n, feature_dim) if takes_medians else None
     spans = state.params.layer_spans()
     starts = np.array([start for _, start, _ in spans])
     layer_hits = np.zeros(len(spans))
@@ -224,7 +227,6 @@ def train_epoch(
             sums[name] += out.value if out is not None else 0.0
 
         g_aux = None
-        conflicted = False
         if kr is not None or ks is not None:
             # backward is linear in dlogits: one stacked pass gives both gradients
             dlogits = np.zeros((2, *rec.logits.shape))
@@ -239,7 +241,7 @@ def train_epoch(
             sums["conflict"] += float(flags.sum() / flags.size)
             aux_batches += 1
             if cfg.use_kc:
-                g_update, conflicted = conflict.project_if_conflict(g_ltr, g_aux)
+                g_update, _ = conflict.project_if_conflict(g_ltr, g_aux)
             else:
                 g_update = g_ltr + g_aux
         else:
@@ -249,27 +251,17 @@ def train_epoch(
         if next_cache is not None:
             reflect.cache_update(next_cache, idx, rec.logits, y)
         if store is not None:
-            store.add(y, rec.features)
-
+            store.add(idx, rec.features)
         if on_step is not None:
-            on_step(
-                {
-                    "epoch": state.epoch,
-                    "batch": batches,
-                    "g_ltr": g_ltr,
-                    "g_aux": g_aux,
-                    "g_update": g_update,
-                    "conflicted": conflicted,
-                }
-            )
+            on_step({"g_ltr": g_ltr, "g_aux": g_aux, "g_update": g_update})
         batches += 1
 
     state.cache = next_cache
     if store is not None:
-        centers = reflect.class_centers_median(store.drain())
-        state.soft_labels = (
-            reflect.build_soft_labels(centers, cfg.alpha) if centers.valid.all() else None
+        centers = reflect.class_centers_median(
+            store.features, dataset.labels, dataset.num_classes
         )
+        state.soft_labels = reflect.build_soft_labels(centers, cfg.alpha)
 
     metrics = EpochMetrics(
         epoch=state.epoch,
@@ -298,8 +290,6 @@ def evaluate(
     logits they were taken from. Buckets come from the *training* class
     counts; acc_all averages over samples, not over buckets. Empty buckets
     report NaN."""
-    if test_set.num_samples == 0:
-        raise ParameterError("empty test set")
     logits = nn.forward(params, test_set.features.astype(np.float64)).logits
     correct = logits.argmax(axis=1) == test_set.labels
     out = {"acc_all": float(correct.mean())}
@@ -380,8 +370,7 @@ def run_experiment(
     write_metrics_csv(out / "metrics.csv", history)
     write_conflicts_csv(out / "conflicts.csv", conflict_rows)
     reflect.write_class_kl_series(out / "class_kl.csv", kl_rows)
-    if state.soft_labels is not None:
-        reflect.write_matrix_csv(out / "similarity.csv", state.soft_labels.M)
+    reflect.write_matrix_csv(out / "similarity.csv", state.soft_labels.M)
     if echo is not None:
         (out / "config.echo").write_text(echo + "\n")
 

@@ -43,9 +43,10 @@ def serial_run(cfg, train, test, split):
     """The trainer's epoch loop written out one call per loss: CE/BSCE,
     review KL (`kl_distill`) or MSE on the rows the previous epoch got
     right, soft CE with its own log-softmax, and one backward pass per
-    gradient. The class medians are taken every epoch. Returns (params,
-    velocity, per-epoch EpochMetrics, last soft labels); train_epoch must
-    match all of it bit for bit."""
+    gradient. The class medians are taken every epoch, over each class's
+    rows gathered in arrival order. Returns (params, velocity, per-epoch
+    EpochMetrics, last soft labels); train_epoch must match all of it bit
+    for bit."""
     init_rng, shuffle_rng, augment_rng = trainer.rng_streams(cfg.seed)
     params = nn.init_params(train.dim, train.num_classes, cfg.hidden_dim, init_rng)
     velocity = np.zeros(params.num_params)
@@ -57,7 +58,7 @@ def serial_run(cfg, train, test, split):
         lr = cfg.lr * (1.0 - epoch / cfg.epochs)
         order = shuffle_rng.permutation(train.num_samples)
         next_cache = reflect.empty_cache(train.num_samples, train.num_classes)
-        store = reflect.FeatureStore(train.num_classes)
+        rows_by_class = [[] for _ in range(train.num_classes)]
         sums = {"ltr": 0.0, "kr": 0.0, "ks": 0.0, "conflict": 0.0}
         layer_hits = np.zeros(len(spans))
         batches = aux_batches = 0
@@ -102,11 +103,12 @@ def serial_run(cfg, train, test, split):
                     g_ltr = g_ltr + g_aux
             nn.sgd_step(params, g_ltr, lr, cfg.momentum, velocity)
             reflect.cache_update(next_cache, idx, rec.logits, y)
-            store.add(y, rec.features)
+            for label, row in zip(y, rec.features):
+                rows_by_class[label].append(row)
             batches += 1
         cache = next_cache
-        centers = reflect.class_centers_median(store.drain())
-        soft_labels = reflect.build_soft_labels(centers, cfg.alpha) if centers.valid.all() else None
+        centers = np.array([np.median(rows, axis=0) for rows in rows_by_class])
+        soft_labels = reflect.build_soft_labels(centers, cfg.alpha)
         accs, _ = trainer.evaluate(params, test, split)
         history.append(
             trainer.EpochMetrics(

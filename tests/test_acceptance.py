@@ -245,18 +245,16 @@ def test_criterion_05_similarity_suite(report):
     rng = np.random.default_rng(41)
     ok = True
     for _ in range(50):
-        centers = reflect.ClassCenters(
-            centers=rng.normal(size=(8, 6)), valid=np.ones(8, dtype=bool)
-        )
-        m = reflect.similarity_matrix(centers)
+        m = reflect.similarity_matrix(rng.normal(size=(8, 6)))
         ok &= np.array_equal(m, m.T)
         ok &= np.allclose(np.diag(m), 1.0)
         ok &= m.min() >= -1.0 and m.max() <= 1.0
     params = nn.init_params(6, 5, 12, rng)
     feats = nn.forward(params, rng.normal(size=(60, 6))).features
-    store = reflect.FeatureStore(5)
-    store.add(rng.integers(0, 5, size=60), feats)
-    m = reflect.similarity_matrix(reflect.class_centers_median(store.drain()))
+    labels = rng.integers(0, 5, size=60)
+    store = reflect.FeatureStore(60, 12)
+    store.add(np.arange(60), feats)
+    m = reflect.similarity_matrix(reflect.class_centers_median(store.features, labels, 5))
     ok &= m.min() >= 0.0  # rectifier features
     for alpha in (0.0, 0.5, 1.0):
         y_hat = reflect.reconstruct_labels(m, alpha)

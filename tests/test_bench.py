@@ -4,6 +4,8 @@ zero calls for the function it can no longer find."""
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,6 +30,16 @@ def test_every_tracer_target_resolves():
         pass
     assert traced.missing == []
     assert traced.names == list(tracer.TARGETS)
+
+
+def test_bench_selftest_passes():
+    """The harness reads program internals (`kr_batch_loss`'s arguments,
+    `project_if_conflict`'s result tuple, run artifacts); its self-test runs
+    every workload at a tiny size and fails when any of that breaks."""
+    done = subprocess.run(
+        [sys.executable, "bench/selftest.py"], cwd=ROOT, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
 
 
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]

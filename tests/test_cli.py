@@ -83,6 +83,22 @@ def test_ablate_without_seeds_is_usage_error(tmp_path):
     assert not grid.exists()
 
 
+@pytest.mark.parametrize("cmd", ["train", "ablate", "synth"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, cmd):
+    path = synth_tiny(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "o"
+    argv = [cmd, "--out", str(out), "--seed", "-1"]
+    if cmd != "synth":
+        argv += ["--data", str(path)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["usage error: " + (
+        "--seed must be >= 0, got -1" if cmd == "synth" else "seed must be >= 0, got -1")]
+    assert not out.exists() and not trainer.default_test_path(out).exists()
+
+
 def test_missing_dataset_is_runtime_error(tmp_path):
     code = run(["train", "--data", str(tmp_path / "nope.ltds"), "--out", str(tmp_path / "o"),
                 "--epochs", "1"])
@@ -100,6 +116,24 @@ def test_synth_balanced_when_if_is_one(tmp_path):
     ds = data.load_dataset(out)
     assert np.array_equal(ds.class_counts, np.full(4, 30))
     assert trainer.default_test_path(out).exists()
+
+
+def test_synth_echo_reproduces_the_files(tmp_path, capsys):
+    first, second = tmp_path / "a" / "s.ltds", tmp_path / "b" / "s.ltds"
+    flags = ["--classes", "6", "--dim", "5", "--n-max", "30", "--if", "7.5",
+             "--class-sep", "2.5", "--noise", "0.75", "--pairs", "2", "--overlap", "0.6",
+             "--seed", "4", "--test-size", "9"]
+    assert run(["synth", *flags, "--out", str(first)]) == 0
+    echo = shlex.split(capsys.readouterr().out.splitlines()[0])
+    parser = cli.build_parser()
+    defaults = vars(parser.parse_args(["synth", "--out", str(first)]))
+    echoed = vars(parser.parse_args(echo))
+    assert [k for k in defaults if echoed[k] == defaults[k]] == ["cmd", "out", "func"]
+    echo[echo.index("--out") + 1] = str(second)
+    assert run(echo) == 0
+    for a, b in ((first, second), (trainer.default_test_path(first),
+                                   trainer.default_test_path(second))):
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_synth_writes_long_tail_pair(tmp_path):
@@ -224,12 +258,17 @@ def write_zero_count_pair(tmp_path):
     """A train set whose last class has no samples, and its test set."""
     rng = np.random.default_rng(0)
     counts = np.array([12, 6, 0])
-    train_ds = data.Dataset(rng.normal(size=(18, 4)), np.repeat(np.arange(3), counts), counts)
+    train_feats = rng.normal(size=(18, 4))
     test_counts = np.array([4, 4, 4])
     test_ds = data.Dataset(rng.normal(size=(12, 4)), np.repeat(np.arange(3), test_counts),
                            test_counts)
     path = tmp_path / "zero.ltds"
-    data.save_dataset(train_ds, path)
+    path.write_bytes(
+        struct.pack("<4sIIII", b"LTDS", 1, 18, 4, 3)
+        + train_feats.astype("<f4").tobytes()
+        + np.repeat(np.arange(3), counts).astype("<u4").tobytes()
+        + counts.astype("<u4").tobytes()
+    )
     data.save_dataset(test_ds, trainer.default_test_path(path))
     return path
 

@@ -218,9 +218,8 @@ def test_load_rejects_count_mismatch(tmp_path):
 
 
 def test_load_rejects_zero_count_class(tmp_path):
-    ds = data.Dataset(np.zeros((5, 2)), [0, 0, 0, 1, 1], [3, 2, 0, 0])
     path = tmp_path / "ds.ltds"
-    data.save_dataset(ds, path)
+    path.write_bytes(ltds_blob(5, 2, [3, 2, 0, 0]))
     with pytest.raises(FormatError) as err:
         data.load_dataset(path)
     count_off = 20 + 4 * 5 * 2 + 4 * 5
@@ -288,9 +287,15 @@ def test_load_fuzzed_bytes_loads_or_raises_format_error(tmp_path_factory, edits,
 
 
 def test_dataset_invariants_rejected_in_memory():
-    with pytest.raises(ParameterError):
-        data.Dataset(
-            features=np.zeros((3, 2), dtype=np.float32),
-            labels=np.array([0, 0, 1]),
-            class_counts=np.array([1, 2]),  # ascending counts + frequency mismatch
-        )
+    cases = [
+        (3, [0, 0, 1], [1, 2]),  # ascending counts + frequency mismatch
+        (5, [0, 0, 0, 1, 1], [3, 2, 0]),  # a class with no samples
+        (0, [], []),  # no classes, no samples
+    ]
+    for n, labels, counts in cases:
+        with pytest.raises(ParameterError):
+            data.Dataset(
+                features=np.zeros((n, 2), dtype=np.float32),
+                labels=np.array(labels, dtype=np.int64),
+                class_counts=np.array(counts, dtype=np.int64),
+            )

@@ -118,83 +118,104 @@ def test_mse_batch_loss_same_filter():
     assert np.array_equal(out.dlogits[1], np.zeros(2))
 
 
-# --- median class centers ----------------------------------------------------------
+# --- feature store + median class centers ---------------------------------------------
+
+
+def one_class_median(feats):
+    return reflect.class_centers_median(feats, np.zeros(len(feats), dtype=np.int64), 1)[0]
 
 
 def test_median_single_sample_is_itself():
-    centers = reflect.class_centers_median([np.array([[1.0, 2.0, 3.0]])])
-    assert np.array_equal(centers.centers[0], [1.0, 2.0, 3.0])
-    assert centers.valid[0]
+    assert np.array_equal(one_class_median(np.array([[1.0, 2.0, 3.0]])), [1.0, 2.0, 3.0])
 
 
 def test_median_ignores_outlier():
     feats = np.array([[1.0], [100.0], [2.0]])
-    centers = reflect.class_centers_median([feats])
-    assert centers.centers[0, 0] == 2.0  # the mean would be 34.33
+    assert one_class_median(feats)[0] == 2.0  # the mean would be 34.33
 
 
 def test_median_even_count_uses_midpoint():
     feats = np.array([[1.0, 10.0], [3.0, 20.0]])
-    centers = reflect.class_centers_median([feats])
-    assert np.array_equal(centers.centers[0], [2.0, 15.0])
-
-
-def test_median_empty_class_marked_invalid():
-    centers = reflect.class_centers_median([np.ones((2, 3)), None])
-    assert centers.valid[0] and not centers.valid[1]
+    assert np.array_equal(one_class_median(feats), [2.0, 15.0])
 
 
 @given(st.integers(0, 50))
 def test_median_order_and_pairing_invariance(seed):
     rng = np.random.default_rng(seed)
     feats = rng.normal(size=(9, 4))
-    base = reflect.class_centers_median([feats]).centers[0]
-    shuffled = reflect.class_centers_median([feats[rng.permutation(9)]]).centers[0]
+    base = one_class_median(feats)
+    shuffled = one_class_median(feats[rng.permutation(9)])
     assert np.array_equal(base, shuffled)
     # replicating the sample set (every sample paired with its own copy)
     # cannot move a per-dimension median
     doubled = np.concatenate([feats, feats])
-    assert np.array_equal(reflect.class_centers_median([doubled]).centers[0], base)
+    assert np.array_equal(one_class_median(doubled), base)
+
+
+def test_feature_store_keeps_arrival_order():
+    # each batch lands at its dataset positions, so the arrival sequence
+    # reads back through the indices it came with
+    rng = np.random.default_rng(8)
+    batches = [np.array([7, 0, 3, 10, 5]), np.array([1, 11, 2]), np.array([9, 4, 6, 8])]
+    store = reflect.FeatureStore(12, 3)
+    arrived = []
+    for idx in batches:
+        feats = rng.normal(size=(idx.size, 3))
+        store.add(idx, feats)
+        arrived.append(feats)
+    assert np.array_equal(store.features[np.concatenate(batches)], np.concatenate(arrived))
+
+
+@given(st.integers(0, 10_000), st.integers(1, 9))
+@settings(max_examples=80)
+def test_store_medians_equal_arrival_order_medians_bitwise(seed, batch_size):
+    """Random batchings of a shuffled epoch, odd and even class counts, and
+    features tied within a class (the rectifier's exact zeros among them)."""
+    rng = np.random.default_rng(seed)
+    num_classes = 4
+    labels = rng.permutation(np.repeat(np.arange(num_classes), rng.integers(1, 7, num_classes)))
+    n = labels.size
+    feats = np.column_stack(
+        [rng.normal(size=n), rng.integers(0, 3, size=n) / 2.0, np.zeros(n)]
+    )
+    store = reflect.FeatureStore(n, 3)
+    arrived = [[] for _ in range(num_classes)]
+    order = rng.permutation(n)
+    for start in range(0, n, batch_size):
+        idx = order[start : start + batch_size]
+        store.add(idx, feats[idx])
+        for i in idx:
+            arrived[labels[i]].append(feats[i])
+    centers = reflect.class_centers_median(store.features, labels, num_classes)
+    expected = np.array([np.median(rows, axis=0) for rows in arrived])
+    assert centers.tobytes() == expected.tobytes()
 
 
 # --- similarity matrix + soft labels -----------------------------------------------
 
 
-def centers_of(rows):
-    arr = np.asarray(rows, dtype=float)
-    return reflect.ClassCenters(centers=arr, valid=np.ones(len(arr), dtype=bool))
-
-
 def test_similarity_identical_and_orthogonal():
-    m = reflect.similarity_matrix(centers_of([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    m = reflect.similarity_matrix(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     assert abs(m[0, 1] - 1.0) < 1e-12
     assert abs(m[0, 2]) < 1e-12
 
 
 def test_similarity_hand_value():
-    m = reflect.similarity_matrix(centers_of([[1.0, 0.0], [1.0, 1.0]]))
+    m = reflect.similarity_matrix(np.array([[1.0, 0.0], [1.0, 1.0]]))
     assert abs(m[0, 1] - 1.0 / math.sqrt(2)) < 1e-12
 
 
 def test_similarity_zero_norm_center():
-    m = reflect.similarity_matrix(centers_of([[0.0, 0.0], [1.0, 0.0]]))
+    m = reflect.similarity_matrix(np.array([[0.0, 0.0], [1.0, 0.0]]))
     assert m[0, 0] == 1.0
     assert m[0, 1] == 0.0 and m[1, 0] == 0.0
-
-
-def test_similarity_rejects_invalid_centers():
-    centers = reflect.ClassCenters(
-        centers=np.zeros((3, 2)), valid=np.array([True, False, False])
-    )
-    with pytest.raises(StateError, match=r"\[1, 2\]"):
-        reflect.similarity_matrix(centers)
 
 
 @given(st.integers(0, 200))
 @settings(max_examples=60)
 def test_similarity_matrix_properties(seed):
     rng = np.random.default_rng(seed)
-    m = reflect.similarity_matrix(centers_of(rng.normal(size=(6, 5))))
+    m = reflect.similarity_matrix(rng.normal(size=(6, 5)))
     assert np.array_equal(m, m.T)
     assert np.allclose(np.diag(m), 1.0)
     assert m.min() >= -1.0 and m.max() <= 1.0
@@ -205,10 +226,9 @@ def test_similarity_nonnegative_under_rectifier_features():
     params = nn.init_params(6, 4, 8, rng)
     feats = nn.forward(params, rng.normal(size=(40, 6))).features  # relu outputs
     labels = rng.integers(0, 4, size=40)
-    store = reflect.FeatureStore(4)
-    store.add(labels, feats)
-    centers = reflect.class_centers_median(store.drain())
-    m = reflect.similarity_matrix(centers)
+    store = reflect.FeatureStore(40, 8)
+    store.add(np.arange(40), feats)
+    m = reflect.similarity_matrix(reflect.class_centers_median(store.features, labels, 4))
     assert m.min() >= 0.0
 
 
@@ -223,32 +243,6 @@ def test_reconstruct_alpha_extremes_and_midpoint():
 def test_reconstruct_rejects_bad_alpha():
     with pytest.raises(ParameterError):
         reflect.reconstruct_labels(np.eye(2), 1.5)
-
-
-def test_feature_store_drains_and_resets():
-    store = reflect.FeatureStore(2)
-    store.add(np.array([0, 1, 0]), np.arange(6.0).reshape(3, 2))
-    first = store.drain()
-    assert first[0].shape == (2, 2) and first[1].shape == (1, 2)
-    assert all(chunk is None for chunk in store.drain())
-
-
-def test_feature_store_keeps_arrival_order():
-    # class 2 is missing from the second batch, class 3 never arrives
-    rng = np.random.default_rng(8)
-    batches = [np.array([2, 0, 1, 2, 0]), np.array([1, 0, 0]), np.array([0, 2, 1, 1])]
-    store = reflect.FeatureStore(4)
-    expected = [[] for _ in range(4)]
-    for labels in batches:
-        feats = rng.normal(size=(labels.size, 3))
-        store.add(labels, feats)
-        for c in range(4):
-            expected[c].append(feats[labels == c])
-    drained = store.drain()
-    for c in range(3):
-        assert np.array_equal(drained[c], np.concatenate(expected[c]))
-    assert drained[3] is None
-    assert all(chunk is None for chunk in store.drain())
 
 
 # --- per-class divergence diagnostic -------------------------------------------------

@@ -57,6 +57,7 @@ def test_config_rejects_kr_with_mse_ablation():
         {"sigma_aug": -0.1},
         {"epochs": 0},
         {"use_ks": True, "hidden_dim": 0},
+        {"seed": -1},
     ],
 )
 def test_config_rejects_bad_values(kw):
@@ -302,18 +303,6 @@ def test_evaluate_random_model_two_classes_binomial():
     params = nn.init_params(4, 2, 0, np.random.default_rng(4))
     accs, _ = trainer.evaluate(params, test, split)
     assert abs(accs["acc_all"] - 0.5) < 3 * np.sqrt(0.25 / 10_000)
-
-
-def test_evaluate_rejects_empty_test_set():
-    train, test, split = tiny_sets()
-    empty = data.Dataset(
-        features=np.zeros((0, train.dim), dtype=np.float32),
-        labels=np.zeros(0, dtype=np.int64),
-        class_counts=np.zeros(train.num_classes, dtype=np.int64),
-    )
-    params = nn.init_params(train.dim, train.num_classes, 0, np.random.default_rng(0))
-    with pytest.raises(ParameterError):
-        trainer.evaluate(params, empty, split)
 
 
 # --- experiment artifacts --------------------------------------------------------------
