@@ -59,13 +59,23 @@ def _number(path, line: int, text: str, kind=float):
         raise FormatError(f"{path} line {line}: cannot read {text!r} as {kind.__name__}") from None
 
 
+def _finite(path, line: int, text: str) -> float:
+    value = _number(path, line, text)
+    if not np.isfinite(value):
+        raise FormatError(f"{path} line {line}: {text!r} is not a finite number")
+    return value
+
+
 def class_kl_table(run_dir) -> np.ndarray:
-    """class_kl.csv as [epochs, classes]; a run shorter than two epochs has no rows."""
+    """class_kl.csv as [epochs, classes], every cell finite; a run shorter
+    than two epochs has no rows."""
     path = Path(run_dir) / "class_kl.csv"
     header, rows = read_csv(path)
     if not rows:
         raise StateError(f"no divergence rows recorded in {path}")
-    return np.array([[_number(path, i, v) for v in row[1:]] for i, row in enumerate(rows, 2)])
+    if len(header) < 2:
+        raise FormatError(f"{path} line 1: no class columns")
+    return np.array([[_finite(path, i, v) for v in row[1:]] for i, row in enumerate(rows, 2)])
 
 
 def metric_column(run_dir, column: str) -> np.ndarray:
@@ -89,17 +99,16 @@ def mean_finals(finals) -> dict[str, float]:
 
 def kl_summary(tables) -> dict:
     """Per-class mean KL, pooled over runs (one table each), and its Spearman
-    correlation with rarity over the non-NaN classes. Classes are stored by
-    decreasing count, so the class index is already the rarity rank."""
+    correlation with rarity. Classes are stored by decreasing count, so the
+    class index is already the rarity rank."""
     from scipy import stats  # not at module level: it triples a run's resident memory
 
-    per_class = np.nanmean(np.stack([np.nanmean(t, axis=0) for t in tables]), axis=0)
-    usable = ~np.isnan(per_class)
-    rho, pvalue = stats.spearmanr(np.arange(per_class.size)[usable], per_class[usable])
+    per_class = np.mean(np.stack([t.mean(axis=0) for t in tables]), axis=0)
+    rho, pvalue = stats.spearmanr(np.arange(per_class.size), per_class)
     return {
         "epochs": sum(len(t) for t in tables),
         "per_class_mean_kl": [float(v) for v in per_class],
-        "mean_kl": float(np.nanmean(per_class)),
+        "mean_kl": float(per_class.mean()),
         "spearman_rarity": float(rho),
         "spearman_pvalue": float(pvalue),
     }

@@ -95,6 +95,11 @@ def cmd_synth(args) -> int:
         raise ParameterError(f"--seed must be >= 0, got {args.seed}")
     if not np.isfinite(args.class_sep):
         raise ParameterError(f"--class-sep must be finite, got {args.class_sep}")
+    u32_max = np.iinfo(np.uint32).max  # the file header stores N, D and C as u32
+    for flag, value in (("--classes", args.classes), ("--dim", args.dim),
+                        ("--n-max", args.n_max), ("--test-size", args.test_size)):
+        if value > u32_max:
+            raise ParameterError(f"{flag} must be <= {u32_max}, got {value}")
     counts = data.longtail_counts(args.classes, args.n_max, args.imbalance_factor)
     if args.test_size < 1:
         raise ParameterError(f"--test-size must be >= 1, got {args.test_size}")
@@ -102,6 +107,8 @@ def cmd_synth(args) -> int:
         raise ParameterError(f"--noise must be finite and >= 0, got {args.noise}")
     if args.pairs < 0 or 2 * args.pairs > args.classes:
         raise ParameterError(f"--pairs must be in [0, {args.classes // 2}]")
+    if not 0 <= args.overlap <= 1:
+        raise ParameterError(f"--overlap must be in [0, 1], got {args.overlap}")
     pairs = [(i, args.classes // 2 + i, args.overlap) for i in range(args.pairs)]
     train = data.synth_gaussians(
         args.classes, args.dim, counts,
@@ -144,11 +151,8 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
-    echo = trainer.train_echo(cfg, args.data, args.out, args.test_data)
-    print(echo)
-    summary = trainer.run_experiment(
-        cfg, args.data, args.out, test_path=args.test_data, echo=echo
-    )
+    print(trainer.train_echo(cfg, args.data, args.out, args.test_data))
+    summary = trainer.run_experiment(cfg, args.data, args.out, test_path=args.test_data)
     final = summary["final"]
     print(
         f"final: acc_all={final['acc_all']:.4f} acc_many={final['acc_many']:.4f} "
@@ -209,6 +213,9 @@ def main(argv=None) -> int:
         return 2
     except (DimensionError, FormatError, StateError, NumericError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -13,20 +13,9 @@ import numpy as np
 _ZERO_NORM = 1e-12
 
 
-def cos_angle(a, b) -> float:
-    """Cosine of the angle between two vectors; 0 when either is near zero."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na < _ZERO_NORM or nb < _ZERO_NORM:
-        return 0.0
-    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
-
-
 def _conflicted(dot, aux_sq, ltr_sq):
-    """cos < 0, where cos := 0 when either norm is below _ZERO_NORM (the
-    cos_angle convention), decided from the dot product and squared norms."""
+    """cos < 0, where cos := 0 when either norm is below _ZERO_NORM,
+    decided from the dot product and squared norms."""
     return (dot < 0) & (np.sqrt(aux_sq) >= _ZERO_NORM) & (np.sqrt(ltr_sq) >= _ZERO_NORM)
 
 

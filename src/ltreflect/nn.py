@@ -50,10 +50,6 @@ class ModelParams:
         return self.layers[0][0].shape[1]
 
     @property
-    def num_classes(self) -> int:
-        return self.layers[-1][0].shape[0]
-
-    @property
     def num_params(self) -> int:
         return self.flat.size
 
@@ -132,7 +128,7 @@ def sgd_step(
     lr: float,
     momentum: float,
     velocity: np.ndarray,
-) -> tuple[ModelParams, np.ndarray]:
+) -> None:
     """Heavy-ball update: v <- momentum*v + g; theta <- theta - lr*v. In place."""
     g = np.asarray(grad, dtype=np.float64)
     if g.shape != (params.num_params,):
@@ -148,4 +144,3 @@ def sgd_step(
     velocity *= momentum
     velocity += g
     params.flat -= lr * velocity
-    return params, velocity

@@ -32,7 +32,7 @@ def empty_cache(num_samples: int, num_classes: int) -> EpochCache:
     )
 
 
-def cache_update(cache: EpochCache, indices, logits, labels) -> EpochCache:
+def cache_update(cache: EpochCache, indices, logits, labels) -> None:
     """Store logits rows at dataset positions and refresh their correctness.
 
     Argmax ties resolve to the lowest class index, so the correctness mask
@@ -53,7 +53,6 @@ def cache_update(cache: EpochCache, indices, logits, labels) -> EpochCache:
     cache.prev_logits[idx] = arr
     cache.correct_mask[idx] = arr.argmax(axis=1) == lab
     cache.tempered = None
-    return cache
 
 
 def _masked_batch_loss(cache, indices, cur_logits, loss_fn) -> LossOutput:
@@ -154,18 +153,14 @@ def build_soft_labels(centers: np.ndarray, alpha: float) -> SoftLabels:
 
 
 def per_class_adjacent_kl(prev_logits, cur_logits, labels, num_classes: int) -> np.ndarray:
-    """Mean KL(prev || cur) per ground-truth class; NaN for absent classes."""
+    """Mean KL(prev || cur) per ground-truth class. Every class has a row:
+    a `data.Dataset` invariant."""
     prev = np.asarray(prev_logits, dtype=np.float64)
     cur = np.asarray(cur_logits, dtype=np.float64)
     lab = np.asarray(labels)
     if prev.shape != cur.shape:
         raise DimensionError(f"logit shapes differ: {prev.shape} vs {cur.shape}")
-    out = np.full(num_classes, np.nan)
-    for cls in range(num_classes):
-        rows = lab == cls
-        if rows.any():
-            out[cls] = kl_distill(prev[rows], cur[rows]).value
-    return out
+    return np.array([kl_distill(prev[lab == c], cur[lab == c]).value for c in range(num_classes)])
 
 
 def write_matrix_csv(path, matrix) -> None:

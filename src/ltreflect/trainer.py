@@ -133,7 +133,6 @@ class TrainerState:
     epoch: int = 0
     cache: reflect.EpochCache | None = None  # only with KR or the MSE ablation
     soft_labels: reflect.SoftLabels | None = None
-    test_logits: np.ndarray | None = None  # from the last epoch's evaluate
 
 
 def rng_streams(seed: int) -> tuple[np.random.Generator, ...]:
@@ -187,15 +186,13 @@ def train_epoch(
     state: TrainerState,
     dataset: data.Dataset,
     cfg: TrainConfig,
-    test: data.Dataset | None = None,
-    split: dict[str, np.ndarray] | None = None,
     on_step=None,
 ) -> tuple[TrainerState, EpochMetrics]:
     """One shuffled pass. It builds only the memory something reads: the
     prediction cache with KR or the MSE ablation, the class medians and
     soft labels every epoch with KS and otherwise only in the final epoch
-    (whose similarity matrix run_experiment writes). Accuracy fields and
-    `state.test_logits` are filled when a test set is supplied."""
+    (whose similarity matrix run_experiment writes). The metrics carry the
+    losses and conflict rates; run_experiment adds the accuracies."""
     n = dataset.num_samples
     lr = cfg.lr * (1.0 - state.epoch / cfg.epochs)
     order = state.shuffle_rng.permutation(n)
@@ -275,10 +272,6 @@ def train_epoch(
             else {}
         ),
     )
-    if test is not None and split is not None:
-        accs, state.test_logits = evaluate(state.params, test, split)
-        for key, value in accs.items():
-            setattr(metrics, key, value)
     state.epoch += 1
     return state, metrics
 
@@ -317,12 +310,10 @@ def write_conflicts_csv(path, rows) -> None:
     artifacts.write_csv(path, artifacts.CONFLICT_COLUMNS, rows)
 
 
-def run_experiment(
-    cfg: TrainConfig, dataset_path, out_dir, test_path=None, echo: str | None = None
-) -> dict:
+def run_experiment(cfg: TrainConfig, dataset_path, out_dir, test_path=None) -> dict:
     """Full training run; writes metrics.csv, conflicts.csv, class_kl.csv,
-    similarity.csv, summary.json (and config.echo when the caller provides
-    the resolved flag line). Returns the summary record."""
+    similarity.csv, summary.json and config.echo, the `train` flag line
+    that reproduces the run. Returns the summary record."""
     train_path = Path(dataset_path)
     if not train_path.exists():
         raise FileNotFoundError(f"dataset file not found: {train_path}")
@@ -345,23 +336,22 @@ def run_experiment(
     history: list[EpochMetrics] = []
     kl_rows = []
     conflict_rows = []
-    prev_test_logits = None
+    prev_logits = None
     for _ in range(cfg.epochs):
-        state, metrics = train_epoch(state, train, cfg, test=test, split=split)
+        state, metrics = train_epoch(state, train, cfg)
+        accs, logits = evaluate(state.params, test, split)
+        metrics = replace(metrics, **accs)
         history.append(metrics)
-        if prev_test_logits is not None:
+        if prev_logits is not None:
             kl_rows.append(
                 (
                     metrics.epoch,
                     reflect.per_class_adjacent_kl(
-                        prev_test_logits,
-                        state.test_logits,
-                        test.labels,
-                        num_classes=train.num_classes,
+                        prev_logits, logits, test.labels, num_classes=train.num_classes
                     ),
                 )
             )
-        prev_test_logits = state.test_logits
+        prev_logits = logits
         for name, rate in metrics.layer_conflict_rates.items():
             conflict_rows.append(
                 (metrics.epoch, name, 1 if rate >= 0.5 else 0, metrics.conflict_fraction)
@@ -371,8 +361,8 @@ def run_experiment(
     write_conflicts_csv(out / "conflicts.csv", conflict_rows)
     reflect.write_class_kl_series(out / "class_kl.csv", kl_rows)
     reflect.write_matrix_csv(out / "similarity.csv", state.soft_labels.M)
-    if echo is not None:
-        (out / "config.echo").write_text(echo + "\n")
+    echo = train_echo(cfg, dataset_path, out_dir, test_path)
+    (out / "config.echo").write_text(echo + "\n")
 
     final = history[-1]
     summary = {
@@ -411,9 +401,9 @@ def run_ablation_grid(
         cell_name = f"kr{int(kr)}_ks{int(ks)}_kc{int(kc)}"
         finals = []
         for cfg in cfgs:
-            run_dir = out / cell_name / f"seed{cfg.seed}"
-            echo = train_echo(cfg, dataset_path, run_dir, test_path)
-            summary = run_experiment(cfg, dataset_path, run_dir, test_path=test_path, echo=echo)
+            summary = run_experiment(
+                cfg, dataset_path, out / cell_name / f"seed{cfg.seed}", test_path=test_path
+            )
             finals.append(summary["final"])
         means = {f"mean_{k}": v for k, v in artifacts.mean_finals(finals).items()}
         rows.append({"kr": int(kr), "ks": int(ks), "kc": int(kc), "seeds": len(finals), **means})

@@ -10,6 +10,19 @@ import numpy as np
 
 from ltreflect import conflict, data, losses, nn, reflect, trainer
 
+_ZERO_NORM = 1e-12
+
+
+def cos_angle(a, b) -> float:
+    """Cosine of the angle between two vectors; 0 when either is near zero."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na < _ZERO_NORM or nb < _ZERO_NORM:
+        return 0.0
+    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
+
 
 def baseline_run(cfg, train, test, split):
     """Plain CE/BSCE loop sharing the seed streams; the reflective trainer

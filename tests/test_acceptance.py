@@ -9,14 +9,15 @@ the trend/grid runs; see notes in the repo README for the calibration.
 
 import shlex
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ltreflect import artifacts, cli, data, losses, nn, reflect, trainer
-from ltreflect.conflict import cos_angle, project_if_conflict
+from ltreflect.conflict import project_if_conflict
 
-from oracles import baseline_run, fd_grad_params, max_rel_err
+from oracles import baseline_run, cos_angle, fd_grad_params, max_rel_err
 
 SEEDS = range(5)
 
@@ -275,7 +276,8 @@ def test_criterion_06_reduction_bit_for_bit(default_dataset, report):
     state = trainer.init_state(cfg, train)
     ok = True
     for epoch in range(cfg.epochs):
-        state, m = trainer.train_epoch(state, train, cfg, test=test, split=split)
+        state, m = trainer.train_epoch(state, train, cfg)
+        m = replace(m, **trainer.evaluate(state.params, test, split)[0])
         ref_loss, ref_accs = expected[epoch]
         ok &= m.loss_ltr == ref_loss
         for key, value in ref_accs.items():

@@ -31,17 +31,11 @@ def test_json_is_sorted_indented_and_newline_terminated(tmp_path):
     assert (tmp_path / "s.json").read_text() == '{\n  "a": [\n    0.5\n  ],\n  "b": 1\n}\n'
 
 
-@pytest.mark.filterwarnings("ignore:Mean of empty slice")
-def test_kl_summary_skips_a_nan_class(tmp_path):
-    nan = float("nan")
-    table = write_kl(tmp_path / "run", [[0.1, nan, 0.3, 0.2], [0.3, nan, 0.5, 0.1]])
-    got = artifacts.kl_summary([table])
-    assert got["epochs"] == 2
-    assert np.allclose(got["per_class_mean_kl"], [0.2, nan, 0.4, 0.15], equal_nan=True)
-    assert got["mean_kl"] == pytest.approx(0.25)
-    rho, pvalue = stats.spearmanr([0, 2, 3], [0.2, 0.4, 0.15])
-    assert got["spearman_rarity"] == pytest.approx(-0.5) == rho
-    assert got["spearman_pvalue"] == pvalue
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_class_kl_table_rejects_a_non_finite_cell(tmp_path, cell):
+    (tmp_path / "class_kl.csv").write_text(f"epoch,0,1\n1,0.1,0.3\n2,0.2,{cell}\n")
+    with pytest.raises(FormatError, match=f"class_kl.csv line 3: '{cell}' is not a finite number"):
+        artifacts.class_kl_table(tmp_path)
 
 
 def test_kl_summary_pools_per_run_class_means(tmp_path):

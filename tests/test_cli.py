@@ -317,15 +317,42 @@ def test_synth_rejects_negative_noise(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flag, value",
-    [("--class-sep", "nan"), ("--class-sep", "inf"), ("--noise", "inf"),
-     ("--if", "nan"), ("--if", "inf"), ("--overlap", "nan")],
+    "flags",
+    [["--class-sep", "nan"], ["--class-sep", "inf"], ["--noise", "inf"],
+     ["--if", "nan"], ["--if", "inf"], ["--overlap", "nan"],
+     # with no pairs the overlap is never applied, and is still checked
+     ["--pairs", "0", "--overlap", "nan"], ["--pairs", "0", "--overlap", "-1"],
+     ["--pairs", "0", "--overlap", "2"]],
+    ids="-".join,
 )
-def test_synth_non_finite_geometry_is_usage_error(tmp_path, capsys, flag, value):
+def test_synth_non_finite_geometry_is_usage_error(tmp_path, capsys, flags):
     out = tmp_path / "d" / "x.ltds"
-    assert run(["synth", flag, value, "--out", str(out)]) == 2
+    assert run(["synth", *flags, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("usage error: ")
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("flag", ["--n-max", "--test-size"])
+def test_synth_size_beyond_the_file_header_is_usage_error(tmp_path, capsys, flag):
+    out = tmp_path / "d" / "x.ltds"
+    assert run(["synth", flag, "5000000000", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"usage error: {flag} must be <= 4294967295, got 5000000000"]
+    assert not out.parent.exists()
+
+
+def test_synth_out_of_memory_is_runtime_error(tmp_path, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 172. GiB")
+
+    monkeypatch.setattr(data, "synth_gaussians", no_memory)
+    out = tmp_path / "d" / "x.ltds"
+    assert run(["synth", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: out of memory: Unable to allocate 172. GiB"]
     assert not out.parent.exists()
 
 
@@ -390,8 +417,12 @@ def test_analyze_conflicts_on_a_plain_run_reports_zero(tmp_path, capsys):
         ("analyze-conflicts", "conflicts.csv",
          b"epoch,layer_name,conflicted,fraction\r\n0,layer0,1\r\n", "line 2"),
         ("analyze-kl", "class_kl.csv", b"epoch,0\r\n1,\xff\xfe\r\n", ""),
+        ("analyze-kl", "class_kl.csv", b"epoch,0,1\r\n1,0.5,0.25\r\n2,nan,0.5\r\n", "line 3"),
+        ("analyze-kl", "class_kl.csv", b"epoch,0,1\r\n1,0.5,inf\r\n", "line 2"),
+        ("analyze-kl", "class_kl.csv", b"epoch\r\n1\r\n", "line 1"),
     ],
-    ids=["empty-class-kl", "empty-conflicts", "non-numeric-kl", "short-conflict-row", "binary-kl"],
+    ids=["empty-class-kl", "empty-conflicts", "non-numeric-kl", "short-conflict-row", "binary-kl",
+         "nan-kl", "inf-kl", "no-class-kl"],
 )
 def test_analyze_malformed_run_file_is_runtime_error(tmp_path, capsys, command, name, text, where):
     (tmp_path / name).write_bytes(text)
@@ -399,3 +430,4 @@ def test_analyze_malformed_run_file_is_runtime_error(tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert str(tmp_path / name) in err and where in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]  # no analysis written

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltreflect.conflict import conflict_stats, cos_angle, project_if_conflict
+from ltreflect.conflict import conflict_stats, project_if_conflict
+
+from oracles import cos_angle
 
 
 # --- cosine ---------------------------------------------------------------------

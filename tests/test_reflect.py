@@ -264,15 +264,14 @@ def test_per_class_kl_hand_computed():
     assert abs(out[1]) < 1e-12
 
 
-def test_per_class_kl_order_free_and_flags_absent():
+def test_per_class_kl_is_order_free():
     rng = np.random.default_rng(2)
     prev, cur = rng.normal(size=(8, 3)), rng.normal(size=(8, 3))
     labels = np.array([0, 0, 1, 1, 0, 1, 0, 1])
-    base = reflect.per_class_adjacent_kl(prev, cur, labels, num_classes=3)
+    base = reflect.per_class_adjacent_kl(prev, cur, labels, num_classes=2)
     perm = rng.permutation(8)
-    again = reflect.per_class_adjacent_kl(prev[perm], cur[perm], labels[perm], num_classes=3)
-    assert np.allclose(base[:2], again[:2], atol=1e-12)
-    assert np.isnan(base[2])  # class 2 absent
+    again = reflect.per_class_adjacent_kl(prev[perm], cur[perm], labels[perm], num_classes=2)
+    assert np.allclose(base, again, atol=1e-12)
 
 
 # --- CSV dumps -------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 import json
-from dataclasses import asdict
+import shlex
+import shutil
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from ltreflect import data, nn, reflect, trainer
+from ltreflect import cli, data, nn, reflect, trainer
 from ltreflect.errors import NumericError, ParameterError
 
-from oracles import baseline_run, serial_run
+from oracles import baseline_run, cos_angle, serial_run
 
 
 def tiny_sets(seed=0, classes=5, dim=6):
@@ -78,7 +80,8 @@ def test_all_components_off_matches_plain_baseline_bitwise(ltr, use_kc):
 
     state = trainer.init_state(cfg, train)
     for epoch in range(cfg.epochs):
-        state, metrics = trainer.train_epoch(state, train, cfg, test=test, split=split)
+        state, metrics = trainer.train_epoch(state, train, cfg)
+        metrics = replace(metrics, **trainer.evaluate(state.params, test, split)[0])
         ref_loss, ref_accs = expected[epoch]
         assert metrics.loss_ltr == ref_loss
         for key, value in ref_accs.items():
@@ -114,8 +117,8 @@ def test_two_runs_identical_metrics_stream():
         state = trainer.init_state(cfg, train)
         out = []
         for _ in range(cfg.epochs):
-            state, m = trainer.train_epoch(state, train, cfg, test=test, split=split)
-            out.append(m)
+            state, m = trainer.train_epoch(state, train, cfg)
+            out.append(replace(m, **trainer.evaluate(state.params, test, split)[0]))
         return out
 
     for a, b in zip(collect(), collect()):
@@ -182,7 +185,8 @@ def test_train_epoch_matches_the_serial_oracle_bitwise(kw):
     params, velocity, history, soft_labels = serial_run(cfg, train, test, split)
     state = trainer.init_state(cfg, train)
     for expected in history:
-        state, metrics = trainer.train_epoch(state, train, cfg, test=test, split=split)
+        state, metrics = trainer.train_epoch(state, train, cfg)
+        metrics = replace(metrics, **trainer.evaluate(state.params, test, split)[0])
         assert repr(asdict(metrics)) == repr(asdict(expected))  # repr tells -0.0 and nan apart
     assert state.params.flat.tobytes() == params.flat.tobytes()
     assert state.velocity.tobytes() == velocity.tobytes()
@@ -234,8 +238,6 @@ def test_non_finite_loss_aborts_with_diagnostic():
 
 
 def test_kc_update_never_opposes_task_gradient():
-    from ltreflect.conflict import cos_angle
-
     train, test, split = tiny_sets()
     cfg = tiny_cfg(use_kr=True, use_ks=True, use_kc=True)
     state = trainer.init_state(cfg, train)
@@ -319,7 +321,7 @@ def write_tiny_pair(tmp_path, seed=0):
 def test_run_experiment_writes_artifacts(tmp_path):
     train_path = write_tiny_pair(tmp_path)
     cfg = tiny_cfg(use_kr=True, use_ks=True, use_kc=True, epochs=3)
-    summary = trainer.run_experiment(cfg, train_path, tmp_path / "run", echo="train --demo")
+    summary = trainer.run_experiment(cfg, train_path, tmp_path / "run")
     for name in ("metrics.csv", "conflicts.csv", "class_kl.csv", "summary.json", "config.echo"):
         assert (tmp_path / "run" / name).exists()
     header = (tmp_path / "run" / "metrics.csv").read_text().splitlines()[0]
@@ -327,15 +329,35 @@ def test_run_experiment_writes_artifacts(tmp_path):
     assert summary["final"]["epoch"] == 2
     loaded = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert loaded["config"]["use_kr"] is True
+    echo = trainer.train_echo(cfg, train_path, tmp_path / "run")
+    assert (tmp_path / "run" / "config.echo").read_text() == echo + "\n"
+    assert loaded["echo"] == summary["echo"] == echo
+
+
+def run_files(run_dir):
+    return {path.name: path.read_bytes() for path in sorted(run_dir.iterdir())}
 
 
 def test_run_experiment_is_deterministic_on_disk(tmp_path):
     train_path = write_tiny_pair(tmp_path)
     cfg = tiny_cfg(use_kr=True, use_ks=True, epochs=3)
-    trainer.run_experiment(cfg, train_path, tmp_path / "a", echo="x")
-    trainer.run_experiment(cfg, train_path, tmp_path / "b", echo="x")
-    for name in ("metrics.csv", "conflicts.csv", "class_kl.csv", "summary.json"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    trainer.run_experiment(cfg, train_path, tmp_path / "run")
+    first = run_files(tmp_path / "run")
+    trainer.run_experiment(cfg, train_path, tmp_path / "run")
+    assert run_files(tmp_path / "run") == first
+
+
+def test_library_run_echo_rewrites_the_run(tmp_path):
+    """A run made the way the scripts make it holds config.echo, and that
+    line fed to the CLI rewrites every file of the run byte for byte."""
+    train_path = write_tiny_pair(tmp_path)
+    run_dir = tmp_path / "run"
+    trainer.run_experiment(tiny_cfg(use_kr=True, use_ks=True, use_kc=True), train_path, run_dir)
+    first = run_files(run_dir)
+    assert {"config.echo", "summary.json", "metrics.csv", "class_kl.csv"} <= set(first)
+    shutil.rmtree(run_dir)
+    assert cli.main(shlex.split(first["config.echo"].decode())) == 0
+    assert run_files(run_dir) == first
 
 
 def test_run_experiment_takes_class_medians_once_without_ks(tmp_path, monkeypatch):
