@@ -32,16 +32,17 @@ def main() -> int:
         cli.main(shlex.split(f"synth --seed 0 --out {data_path}"))
 
     base = trainer.TrainConfig(sigma_aug=args.sigma_aug)
-    ce_tables, kr_tables, conflict = [], [], []
-    for seed in range(args.seeds):
-        runs = {}
-        for name, kw in (("ce", {}), ("kr", {"use_kr": True}),
-                         ("krks", {"use_kr": True, "use_ks": True})):
-            runs[name] = args.workdir / name / f"seed{seed}"
-            trainer.run_experiment(replace(base, seed=seed, **kw), data_path, runs[name])
-        ce_tables.append(artifacts.class_kl_table(runs["ce"]))
-        kr_tables.append(artifacts.class_kl_table(runs["kr"]))
-        conflict.append(artifacts.metric_column(runs["krks"], "conflict_fraction"))
+
+    def run_dir(name, seed):
+        return args.workdir / name / f"seed{seed}"
+
+    arms = {"ce": {}, "kr": {"use_kr": True}, "krks": {"use_kr": True, "use_ks": True}}
+    seeds = range(args.seeds)
+    trainer.run_set([(replace(base, seed=s, **kw), run_dir(name, s))
+                     for name, kw in arms.items() for s in seeds], data_path)
+    ce_tables = [artifacts.class_kl_table(run_dir("ce", s)) for s in seeds]
+    kr_tables = [artifacts.class_kl_table(run_dir("kr", s)) for s in seeds]
+    conflict = [artifacts.metric_column(run_dir("krks", s), "conflict_fraction") for s in seeds]
 
     ce, kr = artifacts.kl_summary(ce_tables), artifacts.kl_summary(kr_tables)
     cf = np.mean(np.stack(conflict), axis=0)

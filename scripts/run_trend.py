@@ -49,14 +49,12 @@ def main() -> int:
         "bsce+rl": replace(base, ltr_loss="bsce", use_kr=True, use_ks=True, use_kc=True),
     }
 
-    results = {}
-    for name, cfg in variants.items():
-        finals = []
-        for seed in range(args.seeds):
-            out = args.workdir / name.replace("+", "_") / f"seed{seed}"
-            summary = trainer.run_experiment(replace(cfg, seed=seed), data_path, out)
-            finals.append(summary["final"])
-        results[name] = artifacts.mean_finals(finals)
+    seeds = range(args.seeds)
+    runs = [(replace(cfg, seed=s), args.workdir / name.replace("+", "_") / f"seed{s}")
+            for name, cfg in variants.items() for s in seeds]
+    summaries = iter(trainer.run_set(runs, data_path))
+    results = {name: artifacts.mean_finals([next(summaries)["final"] for _ in seeds])
+               for name in variants}
 
     header = f"{'variant':10s} {'all':>8s} {'many':>8s} {'medium':>8s} {'few':>8s}"
     print(header)

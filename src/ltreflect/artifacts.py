@@ -32,8 +32,25 @@ def write_csv(path, header, rows) -> None:
         writer.writerows([_cell(v) for v in row] for row in rows)
 
 
-def write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _strict(value):
+    """`value` with every non-finite float replaced by None (JSON `null`)."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    if isinstance(value, float) and not np.isfinite(value):
+        return None
+    return value
+
+
+def write_json(path, payload, strict=True) -> None:
+    """Strict JSON writes every non-finite float as `null`. Only summary.json
+    is written with strict=False, keeping an empty bucket's accuracy a bare
+    `NaN`: bench/run.py averages the final bucket accuracies as numbers."""
+    if strict:
+        payload = _strict(payload)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=not strict)
+    Path(path).write_text(text + "\n")
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
@@ -100,11 +117,14 @@ def mean_finals(finals) -> dict[str, float]:
 def kl_summary(tables) -> dict:
     """Per-class mean KL, pooled over runs (one table each), and its Spearman
     correlation with rarity. Classes are stored by decreasing count, so the
-    class index is already the rarity rank."""
+    class index is already the rarity rank. With fewer than two distinct
+    class means the correlation is undefined: NaN."""
     from scipy import stats  # not at module level: it triples a run's resident memory
 
     per_class = np.mean(np.stack([t.mean(axis=0) for t in tables]), axis=0)
-    rho, pvalue = stats.spearmanr(np.arange(per_class.size), per_class)
+    rho = pvalue = float("nan")
+    if np.unique(per_class).size > 1:
+        rho, pvalue = stats.spearmanr(np.arange(per_class.size), per_class)
     return {
         "epochs": sum(len(t) for t in tables),
         "per_class_mean_kl": [float(v) for v in per_class],

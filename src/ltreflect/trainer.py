@@ -310,10 +310,13 @@ def write_conflicts_csv(path, rows) -> None:
     artifacts.write_csv(path, artifacts.CONFLICT_COLUMNS, rows)
 
 
-def run_experiment(cfg: TrainConfig, dataset_path, out_dir, test_path=None) -> dict:
-    """Full training run; writes metrics.csv, conflicts.csv, class_kl.csv,
-    similarity.csv, summary.json and config.echo, the `train` flag line
-    that reproduces the run. Returns the summary record."""
+def run_set(runs, dataset_path, test_path=None) -> list[dict]:
+    """Trains each `(cfg, out_dir)` of `runs` in order on one train/test pair,
+    loaded and checked once; returns the summary records in run order. Each
+    run writes metrics.csv, conflicts.csv, class_kl.csv, similarity.csv,
+    summary.json and config.echo, the `train` flag line that reproduces it."""
+    if not runs:
+        raise ParameterError("a run set needs at least one run")
     train_path = Path(dataset_path)
     if not train_path.exists():
         raise FileNotFoundError(f"dataset file not found: {train_path}")
@@ -329,52 +332,56 @@ def run_experiment(cfg: TrainConfig, dataset_path, out_dir, test_path=None) -> d
         )
     split = data.split_classes(train.class_counts)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    summaries = []
+    for cfg, out_dir in runs:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
 
-    state = init_state(cfg, train)
-    history: list[EpochMetrics] = []
-    kl_rows = []
-    conflict_rows = []
-    prev_logits = None
-    for _ in range(cfg.epochs):
-        state, metrics = train_epoch(state, train, cfg)
-        accs, logits = evaluate(state.params, test, split)
-        metrics = replace(metrics, **accs)
-        history.append(metrics)
-        if prev_logits is not None:
-            kl_rows.append(
-                (
-                    metrics.epoch,
-                    reflect.per_class_adjacent_kl(
-                        prev_logits, logits, test.labels, num_classes=train.num_classes
-                    ),
+        state = init_state(cfg, train)
+        history: list[EpochMetrics] = []
+        kl_rows = []
+        conflict_rows = []
+        prev_logits = None
+        for _ in range(cfg.epochs):
+            state, metrics = train_epoch(state, train, cfg)
+            accs, logits = evaluate(state.params, test, split)
+            metrics = replace(metrics, **accs)
+            history.append(metrics)
+            if prev_logits is not None:
+                kl = reflect.per_class_adjacent_kl(
+                    prev_logits, logits, test.labels, num_classes=train.num_classes
                 )
-            )
-        prev_logits = logits
-        for name, rate in metrics.layer_conflict_rates.items():
-            conflict_rows.append(
-                (metrics.epoch, name, 1 if rate >= 0.5 else 0, metrics.conflict_fraction)
-            )
+                kl_rows.append((metrics.epoch, kl))
+            prev_logits = logits
+            for name, rate in metrics.layer_conflict_rates.items():
+                conflict_rows.append(
+                    (metrics.epoch, name, 1 if rate >= 0.5 else 0, metrics.conflict_fraction)
+                )
 
-    write_metrics_csv(out / "metrics.csv", history)
-    write_conflicts_csv(out / "conflicts.csv", conflict_rows)
-    reflect.write_class_kl_series(out / "class_kl.csv", kl_rows)
-    reflect.write_matrix_csv(out / "similarity.csv", state.soft_labels.M)
-    echo = train_echo(cfg, dataset_path, out_dir, test_path)
-    (out / "config.echo").write_text(echo + "\n")
+        write_metrics_csv(out / "metrics.csv", history)
+        write_conflicts_csv(out / "conflicts.csv", conflict_rows)
+        reflect.write_class_kl_series(out / "class_kl.csv", kl_rows)
+        reflect.write_matrix_csv(out / "similarity.csv", state.soft_labels.M)
+        echo = train_echo(cfg, dataset_path, out_dir, test_path)
+        (out / "config.echo").write_text(echo + "\n")
 
-    final = history[-1]
-    summary = {
-        "config": asdict(cfg),
-        "dataset": str(train_path),
-        "test_dataset": str(tp),
-        "epochs_run": len(history),
-        "final": {col: getattr(final, col) for col in METRIC_COLUMNS},
-        "echo": echo,
-    }
-    artifacts.write_json(out / "summary.json", summary)
-    return summary
+        final = history[-1]
+        summary = {
+            "config": asdict(cfg),
+            "dataset": str(train_path),
+            "test_dataset": str(tp),
+            "epochs_run": len(history),
+            "final": {col: getattr(final, col) for col in METRIC_COLUMNS},
+            "echo": echo,
+        }
+        artifacts.write_json(out / "summary.json", summary, strict=False)
+        summaries.append(summary)
+    return summaries
+
+
+def run_experiment(cfg: TrainConfig, dataset_path, out_dir, test_path=None) -> dict:
+    """One training run: the one-run case of `run_set`."""
+    return run_set([(cfg, out_dir)], dataset_path, test_path)[0]
 
 
 GRID_CELLS = [
@@ -385,26 +392,19 @@ GRID_CELLS = [
 def run_ablation_grid(
     base_cfg: TrainConfig, dataset_path, out_dir, seeds, test_path=None
 ) -> list[dict]:
-    """All 2^3 component combinations, each over the given seeds; one
-    aggregated row per cell, also written to ablation.csv. Every cell's
-    config is checked before the first run starts."""
-    if not seeds:
-        raise ParameterError("the grid needs at least one seed")
-    cell_cfgs = [
-        [replace(base_cfg, use_kr=kr, use_ks=ks, use_kc=kc, seed=seed) for seed in seeds]
-        for kr, ks, kc in GRID_CELLS
-    ]
+    """All 2^3 component combinations, each over the given seeds, as one run
+    set; one aggregated row per cell, also written to ablation.csv. Every
+    cell's config is checked before the first run starts."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    runs = [
+        (replace(base_cfg, use_kr=kr, use_ks=ks, use_kc=kc, seed=seed),
+         out / f"kr{int(kr)}_ks{int(ks)}_kc{int(kc)}" / f"seed{seed}")
+        for kr, ks, kc in GRID_CELLS for seed in seeds
+    ]
+    summaries = iter(run_set(runs, dataset_path, test_path))
     rows = []
-    for (kr, ks, kc), cfgs in zip(GRID_CELLS, cell_cfgs):
-        cell_name = f"kr{int(kr)}_ks{int(ks)}_kc{int(kc)}"
-        finals = []
-        for cfg in cfgs:
-            summary = run_experiment(
-                cfg, dataset_path, out / cell_name / f"seed{cfg.seed}", test_path=test_path
-            )
-            finals.append(summary["final"])
+    for kr, ks, kc in GRID_CELLS:
+        finals = [next(summaries)["final"] for _ in seeds]
         means = {f"mean_{k}": v for k, v in artifacts.mean_finals(finals).items()}
         rows.append({"kr": int(kr), "ks": int(ks), "kc": int(kc), "seeds": len(finals), **means})
     artifacts.write_csv(out / "ablation.csv", list(rows[0]), (row.values() for row in rows))

@@ -72,36 +72,24 @@ def grid(default_dataset, workdir):
 
 @pytest.fixture(scope="session")
 def bsce_pair(default_dataset, workdir):
-    finals = {"bsce": [], "bsce_rl": []}
-    for seed in SEEDS:
-        plain = trainer.run_experiment(
-            trend_config(ltr_loss="bsce", seed=seed),
-            default_dataset,
-            workdir / "bsce" / f"seed{seed}",
-        )
-        full = trainer.run_experiment(
-            trend_config(ltr_loss="bsce", seed=seed, use_kr=True, use_ks=True, use_kc=True),
-            default_dataset,
-            workdir / "bsce_rl" / f"seed{seed}",
-        )
-        finals["bsce"].append(plain["final"])
-        finals["bsce_rl"].append(full["final"])
-    return finals
+    arms = {"bsce": {}, "bsce_rl": {"use_kr": True, "use_ks": True, "use_kc": True}}
+    runs = [(trend_config(ltr_loss="bsce", seed=s, **kw), workdir / name / f"seed{s}")
+            for name, kw in arms.items() for s in SEEDS]
+    summaries = iter(trainer.run_set(runs, default_dataset))
+    return {name: [next(summaries)["final"] for _ in SEEDS] for name in arms}
 
 
 @pytest.fixture(scope="session")
 def divergence_runs(default_dataset, workdir):
     """CE vs CE+KR under view augmentation (sigma_aug 0.3), where the
     adjacent-epoch churn the diagnostic measures actually exists."""
-    tables = {"ce": [], "kr": []}
-    for seed in SEEDS:
-        for name, kw in (("ce", {}), ("kr", {"use_kr": True})):
-            out = workdir / "diag" / name / f"seed{seed}"
-            trainer.run_experiment(
-                trend_config(sigma_aug=0.3, seed=seed, **kw), default_dataset, out
-            )
-            tables[name].append(artifacts.class_kl_table(out))
-    return tables
+    def run_dir(name, seed):
+        return workdir / "diag" / name / f"seed{seed}"
+
+    arms = {"ce": {}, "kr": {"use_kr": True}}
+    trainer.run_set([(trend_config(sigma_aug=0.3, seed=s, **kw), run_dir(name, s))
+                     for name, kw in arms.items() for s in SEEDS], default_dataset)
+    return {name: [artifacts.class_kl_table(run_dir(name, s)) for s in SEEDS] for name in arms}
 
 
 def grid_cell(rows, kr, ks, kc):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -29,6 +31,9 @@ def test_csv_round_trips_ints_and_exact_floats(tmp_path):
 def test_json_is_sorted_indented_and_newline_terminated(tmp_path):
     artifacts.write_json(tmp_path / "s.json", {"b": 1, "a": [0.5]})
     assert (tmp_path / "s.json").read_text() == '{\n  "a": [\n    0.5\n  ],\n  "b": 1\n}\n'
+    # strict JSON has no NaN or Infinity token: a non-finite float is null
+    artifacts.write_json(tmp_path / "s.json", {"a": [np.nan, -np.inf, {"b": np.inf}]})
+    assert json.loads((tmp_path / "s.json").read_text()) == {"a": [None, None, {"b": None}]}
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import shlex
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -406,6 +407,21 @@ def test_analyze_conflicts_on_a_plain_run_reports_zero(tmp_path, capsys):
     capsys.readouterr()
     assert run(["analyze-kl", "--run", str(out)]) == 1
     assert "no divergence rows" in capsys.readouterr().err
+
+
+def test_analyze_kl_on_constant_class_means_is_null(tmp_path, capsys):
+    (tmp_path / "class_kl.csv").write_text("epoch,0,1\n1,0.5,0.5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["analyze-kl", "--run", str(tmp_path)]) == 0
+
+    def refuse(token):  # strict JSON has no NaN or Infinity token
+        raise ValueError(f"bare {token}")
+
+    payload = json.loads((tmp_path / "kl_analysis.json").read_text(), parse_constant=refuse)
+    assert payload["spearman_rarity"] is None and payload["spearman_pvalue"] is None
+    assert payload["per_class_mean_kl"] == [0.5, 0.5]
+    assert "rarity-rank spearman nan" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -2,11 +2,12 @@ import json
 import shlex
 import shutil
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ltreflect import cli, data, nn, reflect, trainer
+from ltreflect import artifacts, cli, data, nn, reflect, trainer
 from ltreflect.errors import NumericError, ParameterError
 
 from oracles import baseline_run, cos_angle, serial_run
@@ -388,9 +389,33 @@ def test_run_experiment_missing_dataset_names_path(tmp_path):
 def test_ablation_grid_emits_eight_rows(tmp_path):
     train_path = write_tiny_pair(tmp_path)
     base = tiny_cfg(epochs=2)
-    rows = trainer.run_ablation_grid(base, train_path, tmp_path / "grid", seeds=[0])
+    rows = trainer.run_ablation_grid(base, train_path, tmp_path / "grid", seeds=[0, 1])
     assert len(rows) == 8
     assert {(r["kr"], r["ks"], r["kc"]) for r in rows} == {
         (kr, ks, kc) for kr in (0, 1) for ks in (0, 1) for kc in (0, 1)
     }
     assert (tmp_path / "grid" / "ablation.csv").exists()
+    for row in rows:
+        cell = tmp_path / "grid" / f"kr{row['kr']}_ks{row['ks']}_kc{row['kc']}"
+        finals = [artifacts.final(cell / f"seed{s}")["acc_all"] for s in (0, 1)]
+        assert row["seeds"] == 2 and row["mean_acc_all"] == np.mean(finals)
+
+
+def test_run_set_loads_the_pair_once(tmp_path, monkeypatch):
+    train_path = write_tiny_pair(tmp_path)
+    calls = recording(monkeypatch, data, "load_dataset")
+    trainer.run_ablation_grid(tiny_cfg(epochs=1), train_path, tmp_path / "grid", seeds=[0, 1])
+    assert [Path(args[0]).name for args in calls] == ["tiny.ltds", "tiny.test.ltds"]
+
+
+def test_runs_of_a_set_share_no_state(tmp_path):
+    """Each run of a set writes what the same run writes alone."""
+    train_path = write_tiny_pair(tmp_path)
+    full = dict(use_kr=True, use_ks=True, use_kc=True)
+    cfgs = [tiny_cfg(**full), tiny_cfg(), tiny_cfg(seed=4, **full)]
+    trainer.run_set([(cfg, tmp_path / "set" / str(i)) for i, cfg in enumerate(cfgs)], train_path)
+    for i, cfg in enumerate(cfgs):
+        trainer.run_experiment(cfg, train_path, tmp_path / "alone" / str(i))
+        for name in ("metrics.csv", "conflicts.csv", "class_kl.csv", "similarity.csv"):
+            alone = (tmp_path / "alone" / str(i) / name).read_bytes()
+            assert (tmp_path / "set" / str(i) / name).read_bytes() == alone, (i, name)
