@@ -151,8 +151,8 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
-    print(trainer.train_echo(cfg, args.data, args.out, args.test_data))
     summary = trainer.run_experiment(cfg, args.data, args.out, test_path=args.test_data)
+    print(summary["echo"])
     final = summary["final"]
     print(
         f"final: acc_all={final['acc_all']:.4f} acc_many={final['acc_many']:.4f} "

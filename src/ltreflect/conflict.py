@@ -33,6 +33,7 @@ def project_if_conflict(g_ltr: np.ndarray, g_aux: np.ndarray) -> tuple[np.ndarra
 
 def conflict_stats(g_ltr: np.ndarray, g_aux: np.ndarray, starts) -> np.ndarray:
     """Per-layer conflict flags (bool per layer) under the same rule;
-    starts[i] is layer i's first flat index, and every layer is non-empty."""
-    products = (g_aux * g_ltr, g_aux * g_aux, g_ltr * g_ltr)
-    return _conflicted(*(np.add.reduceat(p, starts) for p in products))
+    starts[i] is layer i's first flat index, and every layer is non-empty.
+    [S, P] gradient pairs give [S, layers] flags, row by row."""
+    pairs = ((g_aux, g_ltr), (g_aux, g_aux), (g_ltr, g_ltr))
+    return _conflicted(*[np.add.reduceat(a * b, starts, axis=-1) for a, b in pairs])

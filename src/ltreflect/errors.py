@@ -14,7 +14,12 @@ class StateError(RuntimeError):
 
 
 class NumericError(ArithmeticError):
-    """A non-finite value showed up where finite math was required."""
+    """A non-finite value showed up where finite math was required; `run` is
+    the position of the run to blame in its lockstep group, when one is."""
+
+    def __init__(self, message: str, run: int | None = None):
+        super().__init__(message)
+        self.run = run
 
 
 class FormatError(ValueError):

@@ -4,6 +4,12 @@ Every loss returns a LossOutput holding the batch-mean value and the
 gradient of that value with respect to the current logits. Distillation
 losses (kl_distill, mse_logits) treat the previous-epoch logits as
 constants: no gradient flows to them.
+
+ce_loss, bsce_loss and soft_ce also take a stack of S batches [S, B, C]
+(labels [S, B]) and then return one value per batch; kl_distill and
+mse_logits take the rows of several batches one after another with their
+row `counts`. Either way each batch's value and gradient are bitwise those
+of its own call.
 """
 
 from __future__ import annotations
@@ -17,28 +23,31 @@ from .errors import DimensionError, ParameterError
 
 @dataclass
 class LossOutput:
-    value: float
-    dlogits: np.ndarray  # [B, C], gradient w.r.t. the current logits
+    value: float | np.ndarray  # one value per batch of a stack
+    dlogits: np.ndarray  # [..., B, C], gradient w.r.t. the current logits
 
 
-def _as_logits(logits) -> np.ndarray:
+def _as_logits(logits, stacked: bool = False) -> np.ndarray:
     arr = np.asarray(logits, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DimensionError(f"logits must be 2-D [B, C], got shape {arr.shape}")
+    if arr.ndim != 2 and not (stacked and arr.ndim == 3):
+        want = "[B, C] or [S, B, C]" if stacked else "2-D [B, C]"
+        raise DimensionError(f"logits must be {want}, got shape {arr.shape}")
     return arr
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
 
 
-def _check_labels(labels, num_classes: int) -> np.ndarray:
+def _check_labels(labels, logits_shape) -> np.ndarray:
     lab = np.asarray(labels)
-    if lab.ndim != 1:
-        raise DimensionError(f"labels must be 1-D, got shape {lab.shape}")
+    if lab.shape != logits_shape[:-1]:
+        raise DimensionError(f"labels shape {lab.shape} must match logits {logits_shape[:-1]}")
     if lab.size == 0:
         raise ParameterError("empty batch")
+    num_classes = logits_shape[-1]
     if lab.min() < 0 or lab.max() >= num_classes:
         raise ParameterError(
             f"labels must lie in [0, {num_classes}), got range "
@@ -47,40 +56,64 @@ def _check_labels(labels, num_classes: int) -> np.ndarray:
     return lab.astype(np.intp)
 
 
+def _batch_means(per_row: np.ndarray, grad: np.ndarray, counts):
+    """(value, dlogits) of a batch mean: per_row.sum() / B and grad / B. With
+    `counts`, the rows are len(counts) batches one after another, and each
+    batch's value is the .sum() of its own rows; an empty batch's is 0.0."""
+    if counts is None:
+        batch = grad.shape[0]
+        return float(per_row.sum() / batch), grad / batch
+    ends = np.cumsum(counts).tolist()
+    values = [per_row[end - n : end].sum() / n if n else 0.0 for n, end in zip(counts.tolist(), ends)]
+    return np.array(values), grad / np.repeat(counts, counts)[:, None]
+
+
 def log_softmax(logits) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise log-probabilities of a [B, C] logits batch, and their exp.
+    """Row-wise log-probabilities of a [B, C] (or [S, B, C]) logits batch, and their exp.
     Each row depends on that row alone, so the bits of a row do not depend
     on which batch it is taken in."""
-    logp = _log_softmax(_as_logits(logits))
-    return logp, np.exp(logp)
+    arr = _as_logits(logits, stacked=True)
+    logp = _log_softmax(_as_rows(arr))
+    return _shaped(logp, arr.shape), _shaped(np.exp(logp), arr.shape)
+
+
+def _as_rows(batch: np.ndarray) -> np.ndarray:
+    """A batch, or a stack of them laid end to end, as one [rows, C] array;
+    row-wise work on it is bitwise the work on each batch, and costs the
+    calls of one 2-D batch."""
+    return batch if batch.ndim == 2 else batch.reshape(-1, batch.shape[-1])
+
+
+def _shaped(rows: np.ndarray, shape) -> np.ndarray:
+    """Rows laid end to end back in the given (stack) shape."""
+    return rows if rows.ndim == len(shape) else rows.reshape(shape)
 
 
 def _check_log_probs(log_probs, shape) -> tuple[np.ndarray, np.ndarray]:
     logp, probs = log_probs
     if logp.shape != shape or probs.shape != shape:
         raise DimensionError(f"log-probabilities {logp.shape} must match logits {shape}")
-    return logp, probs
+    return _as_rows(logp), _as_rows(probs)
 
 
 def ce_loss(logits, labels, log_probs=None) -> LossOutput:
     """Mean cross-entropy at temperature 1. `log_probs` is the batch's
     log_softmax(logits) when the caller has taken it already; it is read,
     not written."""
-    arr = _as_logits(logits)
-    lab = _check_labels(labels, arr.shape[1])
-    if lab.shape[0] != arr.shape[0]:
-        raise DimensionError("labels length must match batch size")
-    batch = arr.shape[0]
+    arr = _as_logits(logits, stacked=True)
+    lab = _check_labels(labels, arr.shape)
+    batch = arr.shape[-2]
     if log_probs is None:
-        logp = _log_softmax(arr)
+        logp = _log_softmax(_as_rows(arr))
         dlogits = np.exp(logp)
     else:
         logp, probs = _check_log_probs(log_probs, arr.shape)
         dlogits = probs.copy()
-    value = -(logp[np.arange(batch), lab].sum() / batch)
-    dlogits[np.arange(batch), lab] -= 1.0
+    at_label = (np.arange(lab.size), lab.ravel())
+    value = -(_shaped(logp[at_label], lab.shape).sum(axis=-1) / batch)
+    dlogits[at_label] -= 1.0
     dlogits /= batch
-    return LossOutput(float(value), dlogits)
+    return LossOutput(float(value) if arr.ndim == 2 else value, _shaped(dlogits, arr.shape))
 
 
 def bsce_loss(logits, labels, class_counts) -> LossOutput:
@@ -89,11 +122,11 @@ def bsce_loss(logits, labels, class_counts) -> LossOutput:
     The log-prior is centred on its maximum so that uniform counts reduce
     to plain ce_loss bit-for-bit.
     """
-    arr = _as_logits(logits)
+    arr = _as_logits(logits, stacked=True)
     counts = np.asarray(class_counts, dtype=np.float64)
-    if counts.shape != (arr.shape[1],):
+    if counts.shape != (arr.shape[-1],):
         raise DimensionError(
-            f"class_counts must have length {arr.shape[1]}, got shape {counts.shape}"
+            f"class_counts must have length {arr.shape[-1]}, got shape {counts.shape}"
         )
     if (counts <= 0).any():
         raise ParameterError("all class counts must be positive")
@@ -102,69 +135,78 @@ def bsce_loss(logits, labels, class_counts) -> LossOutput:
     return ce_loss(adjusted, labels)
 
 
-def tempered_targets(prev_logits, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """kl_distill's soft targets: log_softmax(prev_logits / tau) and its exp."""
-    if tau <= 0:
-        raise ParameterError(f"temperature must be positive, got {tau}")
-    return log_softmax(_as_logits(prev_logits) / tau)
+def _positive(tau) -> bool:
+    return bool((tau > 0).all()) if isinstance(tau, np.ndarray) else tau > 0
 
 
-def kl_distill(prev_logits, cur_logits, tau: float = 1.0) -> LossOutput:
+def kl_distill(prev_logits, cur_logits, tau=1.0, counts=None) -> LossOutput:
     """Temperature-scaled KL(prev || cur), batch mean, with the tau^2 prefactor.
 
     prev_logits is a constant soft target; the gradient (tau * (p_cur -
-    p_prev) / B) flows only to cur_logits.
+    p_prev) / B) flows only to cur_logits. With `counts` (one row count per
+    batch), tau is an [M, 1] column holding each row's batch temperature.
     """
-    return kl_to_targets(tempered_targets(prev_logits, tau), cur_logits, tau)
+    return kl_to_targets(tempered_log_probs(prev_logits, tau), cur_logits, tau, counts)
 
 
-def kl_to_targets(targets, cur_logits, tau: float) -> LossOutput:
-    """kl_distill from targets = tempered_targets(prev_logits, tau) taken
-    beforehand, bit for bit."""
+def tempered_log_probs(prev_logits, tau) -> np.ndarray:
+    """kl_distill's targets log_softmax(prev_logits / tau), row by row; tau
+    is a scalar or an [N, 1] column."""
+    if not _positive(tau):
+        raise ParameterError(f"temperature must be positive, got {tau}")
+    return _log_softmax(_as_logits(prev_logits) / tau)
+
+
+def kl_to_targets(logp_prev, cur_logits, tau, counts=None) -> LossOutput:
+    """kl_distill from logp_prev = tempered_log_probs(prev_logits, tau)
+    taken beforehand, bit for bit."""
     cur = _as_logits(cur_logits)
-    logp_prev, p_prev = targets
     if logp_prev.shape != cur.shape:
         raise DimensionError(f"logit shapes differ: {logp_prev.shape} vs {cur.shape}")
-    batch = cur.shape[0]
     logp_cur = _log_softmax(cur / tau)
+    p_prev = np.exp(logp_prev)
+    tau_sq = tau * tau
+    if isinstance(tau_sq, np.ndarray):
+        tau_sq = tau_sq.ravel()  # an [M, 1] column of row temperatures
     # 0 * log 0 := 0 (p_prev underflows to 0 before logp_prev hits -inf)
-    per_row = tau * tau * np.where(
+    per_row = tau_sq * np.where(
         p_prev > 0, p_prev * (logp_prev - logp_cur), 0.0
     ).sum(axis=1)
-    dlogits = tau * (np.exp(logp_cur) - p_prev) / batch
-    return LossOutput(float(per_row.sum() / batch), dlogits)
+    value, dlogits = _batch_means(per_row, tau * (np.exp(logp_cur) - p_prev), counts)
+    return LossOutput(value, dlogits)
 
 
 def soft_ce(logits, soft_labels, log_probs=None) -> LossOutput:
     """Cross-entropy against (possibly unnormalized) non-negative soft
     targets. `log_probs` as in ce_loss."""
-    arr = _as_logits(logits)
+    arr = _as_logits(logits, stacked=True)
     targets = np.asarray(soft_labels, dtype=np.float64)
     if targets.shape != arr.shape:
         raise DimensionError(
             f"soft label shape {targets.shape} must match logits {arr.shape}"
         )
-    if (targets < 0).any():
+    rows = _as_rows(targets)
+    if (rows < 0).any():
         raise ParameterError("soft labels must be non-negative")
-    batch = arr.shape[0]
+    batch = arr.shape[-2]
     if log_probs is None:
-        logp = _log_softmax(arr)
+        logp = _log_softmax(_as_rows(arr))
         probs = np.exp(logp)
     else:
         logp, probs = _check_log_probs(log_probs, arr.shape)
-    value = -((targets * logp).sum(axis=1).sum() / batch)
-    row_mass = targets.sum(axis=1, keepdims=True)
-    dlogits = (row_mass * probs - targets) / batch
-    return LossOutput(float(value), dlogits)
+    value = -(_shaped((rows * logp).sum(axis=1), arr.shape[:-1]).sum(axis=-1) / batch)
+    row_mass = rows.sum(axis=1, keepdims=True)
+    dlogits = (row_mass * probs - rows) / batch
+    return LossOutput(float(value) if arr.ndim == 2 else value, _shaped(dlogits, arr.shape))
 
 
-def mse_logits(prev_logits, cur_logits) -> LossOutput:
-    """Half squared distance between logit rows, batch mean; gradient to cur only."""
+def mse_logits(prev_logits, cur_logits, counts=None) -> LossOutput:
+    """Half squared distance between logit rows, batch mean; gradient to cur
+    only. `counts` as in kl_distill."""
     prev = _as_logits(prev_logits)
     cur = _as_logits(cur_logits)
     if prev.shape != cur.shape:
         raise DimensionError(f"logit shapes differ: {prev.shape} vs {cur.shape}")
-    batch = cur.shape[0]
     diff = cur - prev
-    value = 0.5 * ((diff * diff).sum(axis=1).sum() / batch)
-    return LossOutput(float(value), diff / batch)
+    mean, dlogits = _batch_means((diff * diff).sum(axis=1), diff, counts)
+    return LossOutput(0.5 * mean, dlogits)

@@ -6,10 +6,17 @@ each layer's (weight, bias) is a view into it, laid out in layer order
 (weight then bias per layer). Forward/backward are written out
 analytically; gradients come back as flat vectors in the same layout, so
 the conflict-projection step and the SGD update act on whole vectors.
+
+A stack of S models of one shape keeps a run axis first: `flat` is
+[S, P], weights are [S, out, in] views, a batch is [S, B, D], and every
+function here treats each model as its own; model s of a stack computes
+what it computes alone, bit for bit.
 """
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,10 +26,11 @@ from .errors import DimensionError, NumericError, ParameterError
 
 @dataclass
 class ModelParams:
-    """All parameters in one flat vector; `layers` are (weight, bias) views into it."""
+    """All parameters in one flat vector ([S, P] for a stack of S models);
+    `layers` are (weight, bias) views into it."""
 
-    layers: list[tuple[np.ndarray, np.ndarray]]  # (weight [out, in], bias [out])
-    flat: np.ndarray = field(init=False, repr=False)  # laid out as layer_spans()
+    layers: list[tuple[np.ndarray, np.ndarray]]  # (weight [..., out, in], bias [..., out])
+    flat: np.ndarray = field(init=False, repr=False)  # [..., P], laid out as layer_spans()
 
     def __post_init__(self):
         self.layers = [
@@ -31,45 +39,64 @@ class ModelParams:
         ]
         if len(self.layers) not in (1, 2):
             raise DimensionError(f"a model has 1 or 2 layers, got {len(self.layers)}")
+        lead = self.layers[0][0].shape[:-2]
         for w, b in self.layers:
-            if w.ndim != 2 or b.shape != (w.shape[0],):
+            if w.ndim not in (2, 3) or w.shape[:-2] != lead or b.shape != w.shape[:-1]:
                 raise DimensionError(f"bad layer shapes {w.shape} / {b.shape}")
             if w.size == 0:
                 # per-layer sums over layer_spans() need every span non-empty
                 raise DimensionError(f"empty layer weight {w.shape}")
         if len(self.layers) == 2:
             (w0, _), (w1, _) = self.layers
-            if w1.shape[1] != w0.shape[0]:
-                raise DimensionError(f"layer input width {w1.shape[1]} does not chain from {w0.shape[0]}")
-        self.flat = np.concatenate([np.concatenate([w.ravel(), b]) for w, b in self.layers])
-        views = iter(self.flat[start : start + size] for _, start, size in self.layer_spans())
+            if w1.shape[-1] != w0.shape[-2]:
+                raise DimensionError(f"layer input width {w1.shape[-1]} does not chain from {w0.shape[-2]}")
+        self.flat = np.concatenate(
+            [np.concatenate([w.reshape(*lead, -1), b], axis=-1) for w, b in self.layers], axis=-1
+        )
+        views = iter(self.flat[..., start : start + size] for _, start, size in self.layer_spans())
         self.layers = [(next(views).reshape(w.shape), next(views)) for w, _ in self.layers]
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0][0].shape[1]
+        return self.layers[0][0].shape[-1]
 
     @property
     def num_params(self) -> int:
-        return self.flat.size
+        return self.flat.shape[-1]
 
     def layer_spans(self) -> list[tuple[str, int, int]]:
         """Name and flat-vector extent of every parameter tensor."""
         spans = []
         offset = 0
         for i, (w, b) in enumerate(self.layers):
-            spans.append((f"layer{i}.weight", offset, w.size))
-            offset += w.size
-            spans.append((f"layer{i}.bias", offset, b.size))
-            offset += b.size
+            size = math.prod(w.shape[-2:])
+            spans.append((f"layer{i}.weight", offset, size))
+            offset += size
+            spans.append((f"layer{i}.bias", offset, b.shape[-1]))
+            offset += b.shape[-1]
         return spans
+
+    def run(self, s: int) -> ModelParams:
+        """Model s of a stack, its layers and flat vector views into the stack's."""
+        one = copy.copy(self)
+        one.flat = self.flat[s]
+        one.layers = [(w[s], b[s]) for w, b in self.layers]
+        return one
+
+
+def stack_params(models: list[ModelParams]) -> ModelParams:
+    """Models of one shape as one stack; row s of its flat buffer is models[s].flat."""
+    return ModelParams(
+        layers=[tuple(np.stack(parts) for parts in zip(*layer))
+                for layer in zip(*(m.layers for m in models))]
+    )
 
 
 @dataclass
 class ForwardRecord:
-    inputs: np.ndarray  # [B, D], kept for the backward pass
-    features: np.ndarray  # [B, H] penultimate activations (the inputs when linear)
-    logits: np.ndarray  # [B, C]
+    inputs: np.ndarray  # [..., B, D], kept for the backward pass
+    features: np.ndarray  # [..., B, H] penultimate activations (the inputs when linear)
+    logits: np.ndarray  # [..., B, C]
 
 
 def init_params(
@@ -87,39 +114,55 @@ def init_params(
 
 
 def forward(params: ModelParams, batch) -> ForwardRecord:
+    """Logits of a [B, D] batch, or of an [S, B, D] stack for a stack of S models."""
     x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2:
-        raise DimensionError(f"batch must be 2-D [B, D], got shape {x.shape}")
-    if x.shape[1] != params.input_dim:
+    lead = params.flat.shape[:-1]
+    if x.ndim != len(lead) + 2 or x.shape[:-2] != lead:
+        want = f"[{lead[0]}, B, D]" if lead else "2-D [B, D]"
+        raise DimensionError(f"batch must be {want}, got shape {x.shape}")
+    if x.shape[-1] != params.input_dim:
         raise DimensionError(
-            f"batch has {x.shape[1]} columns, model expects {params.input_dim}"
+            f"batch has {x.shape[-1]} columns, model expects {params.input_dim}"
         )
+    # a stack's weights transpose per model and its biases broadcast over each batch
+    layers = [(w.swapaxes(-1, -2), b[:, None]) if lead else (w.T, b) for w, b in params.layers]
     features = x
-    if len(params.layers) == 2:
-        w0, b0 = params.layers[0]
-        features = np.maximum(0.0, x @ w0.T + b0)
-    w, b = params.layers[-1]
-    return ForwardRecord(inputs=x, features=features, logits=features @ w.T + b)
+    if len(layers) == 2:
+        features = np.maximum(0.0, x @ layers[0][0] + layers[0][1])
+    w, b = layers[-1]
+    return ForwardRecord(inputs=x, features=features, logits=features @ w + b)
 
 
 def backward(params: ModelParams, record: ForwardRecord, dloss_dlogits) -> np.ndarray:
     """Flat gradient of a scalar loss given its logit-gradient [B, C]; for a
     stack of K logit-gradients [K, B, C], the K flat gradients as [K, P],
-    each bitwise equal to its own call."""
+    each bitwise equal to its own call. A stack of S models takes [S, B, C]
+    or [S, K, B, C] and returns [S, P] or [S, K, P]."""
     g = np.asarray(dloss_dlogits, dtype=np.float64)
-    if g.shape[-2:] != record.logits.shape or g.ndim not in (2, 3):
+    lead = record.logits.shape[:-2]
+    k = g.ndim - record.logits.ndim
+    if k not in (0, 1) or g.shape[: len(lead)] != lead or g.shape[-2:] != record.logits.shape[-2:]:
         raise DimensionError(
             f"dloss_dlogits shape {g.shape} must be logits {record.logits.shape} "
             "or a stack of them"
         )
-    grads = [(g.swapaxes(-1, -2) @ record.features, g.sum(axis=-2))]
+    features, inputs, w = record.features, record.inputs, params.layers[-1][0]
+    if k and lead:
+        # a K axis between the run axis and the batch: the model's arrays broadcast over it
+        features, inputs, w = features[:, None], inputs[:, None], w[:, None]
+    grads = [(g.swapaxes(-1, -2) @ features, g.sum(axis=-2))]
     if len(params.layers) == 2:
-        d_hidden = (g @ params.layers[1][0]) * (record.features > 0)
-        grads.insert(0, (d_hidden.swapaxes(-1, -2) @ record.inputs, d_hidden.sum(axis=-2)))
+        d_hidden = (g @ w) * (features > 0)
+        grads.insert(0, (d_hidden.swapaxes(-1, -2) @ inputs, d_hidden.sum(axis=-2)))
     stack = g.shape[:-2]
     return np.concatenate(
         [part for dw, db in grads for part in (dw.reshape(*stack, -1), db)], axis=-1
     )
+
+
+def _holds(condition) -> bool:
+    """A scalar condition, or every entry of an array one."""
+    return bool(condition.all()) if isinstance(condition, np.ndarray) else bool(condition)
 
 
 def sgd_step(
@@ -129,15 +172,17 @@ def sgd_step(
     momentum: float,
     velocity: np.ndarray,
 ) -> None:
-    """Heavy-ball update: v <- momentum*v + g; theta <- theta - lr*v. In place."""
+    """Heavy-ball update: v <- momentum*v + g; theta <- theta - lr*v. In place.
+    A stack of S models takes [S, P] gradients and velocity; lr and momentum
+    may then be [S, 1] columns, one value per model."""
     g = np.asarray(grad, dtype=np.float64)
-    if g.shape != (params.num_params,):
+    if g.shape != params.flat.shape:
         raise DimensionError(
-            f"gradient has length {g.size}, model has {params.num_params} params"
+            f"gradient has shape {g.shape}, model has {params.flat.shape} params"
         )
-    if not (lr > 0):
+    if not _holds(lr > 0):
         raise ParameterError(f"learning rate must be positive, got {lr}")
-    if not (0 <= momentum < 1):
+    if not _holds((momentum >= 0) & (momentum < 1)):
         raise ParameterError(f"momentum must be in [0, 1), got {momentum}")
     if not np.isfinite(g).all():
         raise NumericError("gradient contains non-finite entries; step aborted")

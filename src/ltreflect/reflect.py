@@ -5,24 +5,36 @@ per-class divergence diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import artifacts
 from .errors import DimensionError, ParameterError, StateError
-from .losses import LossOutput, kl_distill, kl_to_targets, mse_logits, tempered_targets
+from .losses import LossOutput, kl_distill, kl_to_targets, mse_logits, tempered_log_probs
 
 _ZERO_NORM = 1e-12
 
 
 @dataclass
 class EpochCache:
-    prev_logits: np.ndarray  # [N, C], rows indexed by dataset position
+    """Rows indexed by dataset position; the runs of a lockstep group keep
+    theirs run-major, run r's row i at r * N + i."""
+
+    prev_logits: np.ndarray  # [N, C]; rows `temper` took hold review targets instead
     correct_mask: np.ndarray  # bool [N]: argmax(prev_logits) == label when cached
-    # (tau, tempered_targets(prev_logits, tau)) as kr_batch_loss last took
-    # them over all N rows; cache_update drops it
-    tempered: tuple | None = field(default=None, repr=False)
+    tempered: bool = False  # kr_batch_loss reads its rows as review targets
+
+
+def temper(cache: EpochCache, tau, rows=slice(None)) -> None:
+    """Turns the cached logits of `rows` into their review targets
+    tempered_log_probs(logits, tau) in place, all at once instead of batch
+    by batch in kr_batch_loss, which must then be given the same tau; tau is
+    a scalar or one value per row as a column. cache_update writes logits
+    over them again: a lockstep epoch tempers the previous epoch's rows and
+    reads each one before its step rewrites it."""
+    cache.prev_logits[rows] = tempered_log_probs(cache.prev_logits[rows], tau)
+    cache.tempered = True
 
 
 def empty_cache(num_samples: int, num_classes: int) -> EpochCache:
@@ -34,6 +46,7 @@ def empty_cache(num_samples: int, num_classes: int) -> EpochCache:
 
 def cache_update(cache: EpochCache, indices, logits, labels) -> None:
     """Store logits rows at dataset positions and refresh their correctness.
+    `indices` [B] or a stack [S, B] of cache rows, `logits` [..., B, C].
 
     Argmax ties resolve to the lowest class index, so the correctness mask
     is reproducible.
@@ -41,9 +54,9 @@ def cache_update(cache: EpochCache, indices, logits, labels) -> None:
     idx = np.asarray(indices, dtype=np.intp)
     arr = np.asarray(logits, dtype=np.float64)
     lab = np.asarray(labels)
-    if arr.shape != (idx.size, cache.prev_logits.shape[1]):
+    if arr.shape != (*idx.shape, cache.prev_logits.shape[1]):
         raise DimensionError(
-            f"logits shape {arr.shape} does not match {idx.size} indices x "
+            f"logits shape {arr.shape} does not match {idx.shape} indices x "
             f"{cache.prev_logits.shape[1]} classes"
         )
     if idx.size and (idx.min() < 0 or idx.max() >= cache.prev_logits.shape[0]):
@@ -51,38 +64,50 @@ def cache_update(cache: EpochCache, indices, logits, labels) -> None:
             f"dataset index out of range [0, {cache.prev_logits.shape[0]})"
         )
     cache.prev_logits[idx] = arr
-    cache.correct_mask[idx] = arr.argmax(axis=1) == lab
-    cache.tempered = None
+    cache.correct_mask[idx] = arr.argmax(axis=-1) == lab
 
 
 def _masked_batch_loss(cache, indices, cur_logits, loss_fn) -> LossOutput:
+    """loss_fn(rows, cur, counts) on the rows the filter keeps. A stack of
+    batches ([S, B] indices) keeps each batch's rows in a compacted run of
+    their own, so each batch's value is the .sum() of exactly its rows."""
     if cache is None:
         raise StateError("no previous-epoch cache; run the warm-up epoch first")
     idx = np.asarray(indices, dtype=np.intp)
     cur = np.asarray(cur_logits, dtype=np.float64)
-    mask = cache.correct_mask[idx]
-    dlogits = np.zeros_like(cur)
-    if not mask.any():
-        return LossOutput(0.0, dlogits)
-    out = loss_fn(idx[mask], cur[mask])
-    dlogits[mask] = out.dlogits
-    return LossOutput(out.value, dlogits)
+    stacked = idx.ndim == 2
+    rows, cur_rows = idx, cur
+    if stacked:  # the batches' rows end to end, as one batch's would be
+        rows, cur_rows = idx.ravel(), cur.reshape(-1, cur.shape[-1])
+    mask = cache.correct_mask[rows]
+    dlogits = np.zeros_like(cur_rows)
+    counts = mask.reshape(idx.shape).sum(axis=1) if stacked and len(idx) > 1 else None
+    if mask.any():
+        out = loss_fn(rows[mask], cur_rows[mask], counts)
+        dlogits[mask] = out.dlogits
+        value = np.array([out.value]) if stacked and counts is None else out.value  # a stack of one
+    else:
+        value = np.zeros(len(idx)) if stacked else 0.0
+    return LossOutput(value, dlogits.reshape(cur.shape) if stacked else dlogits)
 
 
-def kr_batch_loss(cache: EpochCache, indices, cur_logits, tau: float) -> LossOutput:
+def kr_batch_loss(cache: EpochCache, indices, cur_logits, tau) -> LossOutput:
     """Distillation toward the cached predictions, restricted to rows the
     previous epoch classified correctly; the mean is over qualifying rows.
-    Rows outside the filter get exactly-zero gradient.
-
-    The tempered targets are taken once per cache state and tau, over all
-    rows: row-wise, so each row's bits equal kl_distill's on the batch.
+    Rows outside the filter get exactly-zero gradient. A stack of batches
+    ([S, B] indices, [S, B, C] logits) takes one tau per batch and returns
+    one value per batch. The targets are the ones `temper` took, if it did,
+    and otherwise taken from the kept rows alone: row-wise, so either way
+    each row's bits equal kl_distill's on the batch.
     """
-    if cache is not None and (cache.tempered is None or cache.tempered[0] != tau):
-        cache.tempered = (tau, tempered_targets(cache.prev_logits, tau))
 
-    def review(rows, cur):
-        logp, probs = cache.tempered[1]
-        return kl_to_targets((logp[rows], probs[rows]), cur, tau)
+    def review(rows, cur, counts):
+        t = tau
+        if isinstance(tau, np.ndarray) and counts is not None:  # a temperature per batch
+            t = np.repeat(tau, counts)[:, None]
+        if cache.tempered:
+            return kl_to_targets(cache.prev_logits[rows], cur, t, counts)
+        return kl_distill(cache.prev_logits[rows], cur, t, counts)
 
     return _masked_batch_loss(cache, indices, cur_logits, review)
 
@@ -90,13 +115,15 @@ def kr_batch_loss(cache: EpochCache, indices, cur_logits, tau: float) -> LossOut
 def mse_batch_loss(cache: EpochCache, indices, cur_logits) -> LossOutput:
     """Direct logit matching under the same correctness filter as kr_batch_loss."""
     return _masked_batch_loss(
-        cache, indices, cur_logits, lambda rows, cur: mse_logits(cache.prev_logits[rows], cur)
+        cache, indices, cur_logits,
+        lambda rows, cur, counts: mse_logits(cache.prev_logits[rows], cur, counts),
     )
 
 
 class FeatureStore:
     """One epoch's feature rows in one [N, H] buffer, each batch written at
-    its dataset positions the way cache_update writes logits."""
+    its dataset positions the way cache_update writes logits (run-major for
+    a lockstep group)."""
 
     def __init__(self, num_samples: int, dim: int):
         self.features = np.zeros((num_samples, dim))

@@ -1,6 +1,7 @@
-"""Training orchestration: per-batch loss assembly, one stacked backward,
-conflict-corrected updates, per-epoch memory refresh, evaluation buckets,
-and what a run directory holds (`artifacts` owns the file format).
+"""Training orchestration: lockstep groups of runs, per-batch loss
+assembly, one stacked backward, conflict-corrected updates, per-epoch
+memory refresh, evaluation buckets, and what a run directory holds
+(`artifacts` owns the file format).
 """
 
 from __future__ import annotations
@@ -124,15 +125,128 @@ class EpochMetrics:
     layer_conflict_rates: dict[str, float] = field(default_factory=dict)
 
 
+# Lockstep groups. The runs of a group step together: one stacked forward,
+# loss assembly, backward, conflict_stats and sgd_step serve them all. A
+# component that is off in a run is a zero row (its auxiliary gradient) or
+# left out by an index subset; a subset of every run is `slice(None)`, so it
+# indexes nothing and copies nothing, and a one-run group drops the run axis
+# altogether. Bitwise rules this relies on, each measured on numpy 2.4 with
+# OpenBLAS at 1 and 2 threads, and held end to end by the serial oracle
+# tests (tests/oracles.py::serial_run):
+# - A stacked matmul ([S, B, D] @ [S, D, H], broadcast over a K axis too)
+#   equals the per-slice `@`, bit for bit.
+# - Last-axis row reductions (`.sum(axis=-1)`, `.max(axis=-1)`) and
+#   `np.add.reduceat(p, starts, axis=1)` equal their per-run forms. So do
+#   row dots `np.matmul(a[:, None, :], b[:, :, None])` and a stacked
+#   `np.median(axis=1)`, which go unused: KC projects run by run, and medians
+#   are taken run by run to bound the group's peak memory.
+# - A masked KR or MSE loss value must be the `.sum()` of the run's
+#   compacted rows: `np.add.reduceat` segments and zero-padded
+#   `np.where(mask, x, 0).sum()` differ from `.sum()` in about 60% of random
+#   cases, so `losses._batch_means` sums each run's rows on their own.
+# - Writing through `.reshape(-1, C)` of a strided `g[:, 0]` view silently
+#   writes to a copy: the losses write only into arrays they allocated.
+
+
+def _subset(flags) -> slice | np.ndarray | None:
+    """The runs whose flag is set: every run as slice(None), none as None."""
+    flags = np.asarray(flags, dtype=bool)
+    if flags.all():
+        return slice(None)
+    return np.flatnonzero(flags) if flags.any() else None
+
+
+def _size(runs, num_runs: int) -> int:
+    return num_runs if isinstance(runs, slice) else len(runs)
+
+
+def _offsets(positions: np.ndarray, rows_per_run: int) -> np.ndarray | None:
+    """Row offsets [R, 1] of runs at these positions of a run-major buffer;
+    None for the one run at position 0, whose rows need none."""
+    return None if positions.tolist() == [0] else positions[:, None] * rows_per_run
+
+
+def _per_run(values) -> float | np.ndarray:
+    """One value for every run as a scalar; differing values as an [S, 1] column."""
+    values = [float(v) for v in values]
+    return values[0] if len(set(values)) == 1 else np.array(values)[:, None]
+
+
+@dataclass(frozen=True)
+class GroupLayout:
+    """Which runs of a lockstep group use what, fixed for the group's life.
+    Cache rows are run-major over the `cache` runs (KR or the MSE ablation),
+    store rows over the runs that take medians; an offset of a single run's
+    rows is None."""
+
+    ce: slice | np.ndarray | None
+    bsce: slice | np.ndarray | None
+    kr: slice | np.ndarray | None
+    mse: slice | np.ndarray | None
+    cache: slice | np.ndarray | None
+    ks: slice | np.ndarray | None
+    aux: slice | np.ndarray | None  # runs with an auxiliary gradient once epoch 0 is done
+    no_aux: slice | np.ndarray | None
+    kc: list[int]  # aux runs that project
+    augmented: list[int]
+    kr_rows: np.ndarray | None  # [S_kr, 1] cache row offset of each KR run
+    mse_rows: np.ndarray | None
+    cache_rows: np.ndarray | None
+    ks_rows: np.ndarray | None  # [S_ks, 1] row offset of each KS run's soft targets
+    tau: float | np.ndarray  # review temperature of each KR run
+    kr_cache: slice | np.ndarray  # the cache rows of the KR runs
+    kr_cache_tau: float | np.ndarray  # ... and their temperatures
+    momentum: float | np.ndarray
+
+    @classmethod
+    def of(cls, cfgs: list[TrainConfig], num_samples: int, num_classes: int) -> GroupLayout:
+        def flags(name):
+            return np.array([getattr(cfg, name) for cfg in cfgs])
+
+        kr, mse, ks = flags("use_kr"), flags("use_mse_ablation"), flags("use_ks")
+        aux = kr | mse | ks
+        reads = np.flatnonzero(kr | mse)
+        tau = _per_run(flags("tau")[kr]) if kr.any() else 0.0
+        return cls(
+            ce=_subset(flags("ltr_loss") == "ce"),
+            bsce=_subset(flags("ltr_loss") == "bsce"),
+            kr=_subset(kr),
+            mse=_subset(mse),
+            cache=_subset(kr | mse),
+            ks=_subset(ks),
+            aux=_subset(aux),
+            no_aux=_subset(~aux),
+            kc=np.flatnonzero(flags("use_kc") & aux).tolist(),
+            augmented=np.flatnonzero(flags("sigma_aug") > 0).tolist(),
+            kr_rows=_offsets(np.searchsorted(reads, np.flatnonzero(kr)), num_samples),
+            mse_rows=_offsets(np.searchsorted(reads, np.flatnonzero(mse)), num_samples),
+            cache_rows=_offsets(np.arange(len(reads)), num_samples),
+            ks_rows=_offsets(np.arange(ks.sum()), num_classes),
+            tau=tau,
+            kr_cache=slice(None) if kr[reads].all() else np.flatnonzero(
+                np.repeat(kr[reads], num_samples)
+            ),
+            kr_cache_tau=np.repeat(tau, num_samples)[:, None] if np.ndim(tau) else tau,
+            momentum=_per_run(flags("momentum")),
+        )
+
+
 @dataclass
 class TrainerState:
-    params: nn.ModelParams
-    velocity: np.ndarray
-    shuffle_rng: np.random.Generator
-    augment_rng: np.random.Generator
+    """The runs of one lockstep group: same epochs, batch size and hidden
+    width. Row s of `params.flat` and `velocity` is run s's, and each run
+    keeps its own shuffle and augmentation streams."""
+
+    cfgs: list[TrainConfig]
+    layout: GroupLayout
+    params: nn.ModelParams  # [S, P]
+    velocity: np.ndarray  # [S, P]
+    shuffle_rngs: list[np.random.Generator]
+    augment_rngs: list[np.random.Generator]
+    soft_labels: list[reflect.SoftLabels | None]
     epoch: int = 0
     cache: reflect.EpochCache | None = None  # only with KR or the MSE ablation
-    soft_labels: reflect.SoftLabels | None = None
+    y_hat: np.ndarray | None = None  # [S_ks * C, C] soft targets of the KS runs, run-major
 
 
 def rng_streams(seed: int) -> tuple[np.random.Generator, ...]:
@@ -142,136 +256,249 @@ def rng_streams(seed: int) -> tuple[np.random.Generator, ...]:
     return tuple(np.random.default_rng(c) for c in children)
 
 
-def init_state(cfg: TrainConfig, dataset: data.Dataset) -> TrainerState:
-    init_rng, shuffle_rng, augment_rng = rng_streams(cfg.seed)
-    params = nn.init_params(dataset.dim, dataset.num_classes, cfg.hidden_dim, init_rng)
+def init_state(cfgs, dataset: data.Dataset) -> TrainerState:
+    """A lockstep group of the given configs; each run is initialised from
+    its own seed exactly as it would be alone."""
+    cfgs = list(cfgs)
+    if len({(cfg.epochs, cfg.batch_size, cfg.hidden_dim) for cfg in cfgs}) != 1:
+        raise ParameterError("a lockstep group needs one epochs, batch_size and hidden_dim")
+    streams = [rng_streams(cfg.seed) for cfg in cfgs]
+    params = nn.stack_params(
+        [nn.init_params(dataset.dim, dataset.num_classes, cfg.hidden_dim, init)
+         for cfg, (init, _, _) in zip(cfgs, streams)]
+    )
     return TrainerState(
+        cfgs=cfgs,
+        layout=GroupLayout.of(cfgs, dataset.num_samples, dataset.num_classes),
         params=params,
-        velocity=np.zeros(params.num_params),
-        shuffle_rng=shuffle_rng,
-        augment_rng=augment_rng,
+        velocity=np.zeros(params.flat.shape),
+        shuffle_rngs=[shuffle for _, shuffle, _ in streams],
+        augment_rngs=[augment for _, _, augment in streams],
+        soft_labels=[None] * len(cfgs),
     )
 
 
+def _pick(pair, runs):
+    """Both arrays of a (log-probabilities, probabilities) pair for the given runs."""
+    return pair if isinstance(runs, slice) else (pair[0][runs], pair[1][runs])
+
+
+def _add(target, runs, value) -> None:
+    """target[runs] += value; for every run, in place with no write-back."""
+    if isinstance(runs, slice):
+        target += value
+    else:
+        target[runs] += value
+
+
+def _by_run(a: np.ndarray, stacked: bool) -> np.ndarray:
+    """a indexed by run: a one-run group's array gets its run axis back as a view."""
+    return a if stacked else a[None]
+
+
+def _rows(indices, runs, offsets):
+    """The store or cache rows of a batch's indices for the given runs."""
+    return indices[runs] if offsets is None else indices[runs] + offsets
+
+
 def assemble_batch_losses(
-    cfg: TrainConfig,
+    state: TrainerState,
     logits: np.ndarray,
     indices: np.ndarray,
     labels: np.ndarray,
     class_counts: np.ndarray,
-    cache: reflect.EpochCache | None,
-    soft_labels: reflect.SoftLabels | None,
-):
-    """Returns (ltr, kr, ks). kr/ks are None while inactive: the warm-up
-    epoch has neither a prediction cache nor soft labels, so neither
+) -> list[tuple[str, slice | np.ndarray, losses.LossOutput]]:
+    """(name, runs, loss) terms of one lockstep batch, task losses first: the
+    LTR loss of every run, then review (KR or MSE) and KS on their runs. The
+    warm-up epoch has neither a prediction cache nor soft labels, so no
     regularizer contributes anything. With KS on, CE and soft_ce share one
     log-softmax of the logits; BSCE takes its own, of the shifted logits."""
-    raw = losses.log_softmax(logits) if cfg.use_ks and soft_labels is not None else None
-    if cfg.ltr_loss == "bsce":
-        ltr = losses.bsce_loss(logits, labels, class_counts)
-    else:
-        ltr = losses.ce_loss(logits, labels, raw)
-    kr = ks = None
-    if cache is not None:
-        if cfg.use_kr:
-            kr = reflect.kr_batch_loss(cache, indices, logits, cfg.tau)
-        elif cfg.use_mse_ablation:
-            kr = reflect.mse_batch_loss(cache, indices, logits)
-    if raw is not None:
-        ks = losses.soft_ce(logits, soft_labels.y_hat[labels], raw)
-    return ltr, kr, ks
+    lay = state.layout
+    active = state.epoch > 0
+    raw = losses.log_softmax(logits) if active and lay.ks is not None else None
+    terms = []
+    if lay.ce is not None:
+        ce_raw = None if raw is None else _pick(raw, lay.ce)
+        terms.append(("ltr", lay.ce, losses.ce_loss(logits[lay.ce], labels[lay.ce], ce_raw)))
+    if lay.bsce is not None:
+        terms.append(
+            ("ltr", lay.bsce, losses.bsce_loss(logits[lay.bsce], labels[lay.bsce], class_counts))
+        )
+    if not active:
+        return terms
+    if lay.kr is not None:
+        rows = _rows(indices, lay.kr, lay.kr_rows)
+        terms.append(("kr", lay.kr, reflect.kr_batch_loss(state.cache, rows, logits[lay.kr], lay.tau)))
+    if lay.mse is not None:
+        rows = _rows(indices, lay.mse, lay.mse_rows)
+        terms.append(("kr", lay.mse, reflect.mse_batch_loss(state.cache, rows, logits[lay.mse])))
+    if lay.ks is not None:
+        targets = state.y_hat[_rows(labels, lay.ks, lay.ks_rows)]
+        terms.append(("ks", lay.ks, losses.soft_ce(logits[lay.ks], targets, _pick(raw, lay.ks))))
+    return terms
+
+
+LOSS_NAMES = ("ltr", "kr", "ks")
+
+
+def _check_finite(terms, num_runs: int, epoch: int, batch: int) -> None:
+    """Raises for the first non-finite loss of a batch in (run, ltr/kr/ks) order."""
+    finite = np.ones((num_runs, len(LOSS_NAMES)), dtype=bool)
+    for name, runs, out in terms:
+        finite[runs, LOSS_NAMES.index(name)] = np.isfinite(out.value)
+    run, which = np.argwhere(~finite)[0]
+    raise NumericError(f"non-finite {LOSS_NAMES[which]} loss at epoch {epoch}, batch {batch}", run=int(run))
+
+
+def _logit_gradients(terms, shape, aux):
+    """The task logit-gradients [S, B, C]; with auxiliary runs, the stack
+    [S, 2, B, C] of task and auxiliary ones (zero rows for runs without)."""
+    if aux is None and isinstance(terms[0][1], slice):  # one task loss for every run
+        return terms[0][2].dlogits
+    stack = np.zeros(shape if aux is None else (*shape[:-2], 2, *shape[-2:]))
+    task = stack if aux is None else stack[..., 0, :, :]
+    for name, runs, out in terms:
+        if name == "ltr":
+            task[runs] = out.dlogits
+        else:
+            _add(stack[..., 1, :, :], runs, out.dlogits)
+    return stack
 
 
 def train_epoch(
     state: TrainerState,
     dataset: data.Dataset,
-    cfg: TrainConfig,
     on_step=None,
-) -> tuple[TrainerState, EpochMetrics]:
-    """One shuffled pass. It builds only the memory something reads: the
-    prediction cache with KR or the MSE ablation, the class medians and
-    soft labels every epoch with KS and otherwise only in the final epoch
-    (whose similarity matrix run_experiment writes). The metrics carry the
-    losses and conflict rates; run_experiment adds the accuracies."""
-    n = dataset.num_samples
-    lr = cfg.lr * (1.0 - state.epoch / cfg.epochs)
-    order = state.shuffle_rng.permutation(n)
-    reads_cache = cfg.use_kr or cfg.use_mse_ablation
-    takes_medians = cfg.use_ks or state.epoch == cfg.epochs - 1
-    next_cache = reflect.empty_cache(n, dataset.num_classes) if reads_cache else None
-    feature_dim = state.params.layers[-1][0].shape[1]
-    store = reflect.FeatureStore(n, feature_dim) if takes_medians else None
+) -> tuple[TrainerState, list[EpochMetrics]]:
+    """One shuffled pass of every run of the group, in lockstep: each step
+    makes one stacked forward, one loss assembly, one backward, one
+    conflict_stats and one sgd_step for all runs. It builds only the memory
+    something reads: the prediction cache with KR or the MSE ablation, the
+    class medians and soft labels every epoch with KS and otherwise only in
+    the final epoch (whose similarity matrix the run directory holds). The
+    metrics, one per run, carry the losses and conflict rates; run_set adds
+    the accuracies. `on_step` gets each run's gradients after every step."""
+    lay, cfgs = state.layout, state.cfgs
+    num_runs, n = len(cfgs), dataset.num_samples
+    batch_size, epochs = cfgs[0].batch_size, cfgs[0].epochs
+    lr = _per_run([cfg.lr * (1.0 - state.epoch / cfg.epochs) for cfg in cfgs])
+    orders = np.stack([rng.permutation(n) for rng in state.shuffle_rngs])
+    # a one-run group drops the run axis: it steps on the plain model's
+    # arrays, so a single run pays no stacked-array overhead
+    stacked = num_runs > 1
+    params, velocity = state.params, state.velocity
+    if not stacked:
+        params, velocity, orders = params.run(0), velocity[0], orders[0]
+    aux = lay.aux if state.epoch > 0 else None
+    last = state.epoch == epochs - 1
+    if lay.cache is not None and state.cache is None:
+        # one buffer: a row is read (review) before the same step rewrites it
+        state.cache = reflect.empty_cache(_size(lay.cache, num_runs) * n, dataset.num_classes)
+    writes_cache = lay.cache is not None and not last  # no epoch reads the last one's
+    if lay.kr is not None and state.epoch > 0:
+        reflect.temper(state.cache, lay.kr_cache_tau, lay.kr_cache)
+    medians = slice(None) if last else lay.ks
+    store = store_rows = None
+    if medians is not None:
+        held = _size(medians, num_runs)
+        store = reflect.FeatureStore(held * n, state.params.layers[-1][0].shape[-1])
+        store_rows = _offsets(np.arange(held), n)
+    has_aux = np.zeros(num_runs, dtype=bool)
+    if aux is not None:
+        has_aux[aux] = True
     spans = state.params.layer_spans()
     starts = np.array([start for _, start, _ in spans])
-    layer_hits = np.zeros(len(spans))
-    sums = {"ltr": 0.0, "kr": 0.0, "ks": 0.0, "conflict": 0.0}
-    batches = 0
-    aux_batches = 0
+    layer_hits = np.zeros((num_runs, len(spans)))
+    # per-run running loss sums as Python floats: a float add is the serial
+    # loop's own, and costs a one-run group nothing
+    sums = {name: [0.0] * num_runs for name in LOSS_NAMES}
+    conflict_sums = np.zeros(num_runs)
+    batches = aux_batches = 0
 
-    for start in range(0, n, cfg.batch_size):
-        idx = order[start : start + cfg.batch_size]
-        x = data.augment(dataset.features[idx], cfg.sigma_aug, state.augment_rng)
-        y = dataset.labels[idx]
-        rec = nn.forward(state.params, x)
-        ltr, kr, ks = assemble_batch_losses(
-            cfg, rec.logits, idx, y, dataset.class_counts, state.cache, state.soft_labels
-        )
-        for name, out in (("ltr", ltr), ("kr", kr), ("ks", ks)):
-            if out is not None and not math.isfinite(out.value):
-                raise NumericError(
-                    f"non-finite {name} loss at epoch {state.epoch}, batch {batches}"
-                )
-            sums[name] += out.value if out is not None else 0.0
-
-        g_aux = None
-        if kr is not None or ks is not None:
-            # backward is linear in dlogits: one stacked pass gives both gradients
-            dlogits = np.zeros((2, *rec.logits.shape))
-            dlogits[0] = ltr.dlogits
-            if kr is not None:
-                dlogits[1] += kr.dlogits
-            if ks is not None:
-                dlogits[1] += ks.dlogits
-            g_ltr, g_aux = nn.backward(state.params, rec, dlogits)
-            flags = conflict.conflict_stats(g_ltr, g_aux, starts)
-            layer_hits += flags
-            sums["conflict"] += float(flags.sum() / flags.size)
-            aux_batches += 1
-            if cfg.use_kc:
-                g_update, _ = conflict.project_if_conflict(g_ltr, g_aux)
-            else:
-                g_update = g_ltr + g_aux
+    for start in range(0, n, batch_size):
+        idx = orders[..., start : start + batch_size]
+        if lay.augmented:
+            xs = [data.augment(dataset.features[i], cfg.sigma_aug, rng)
+                  for i, cfg, rng in zip(_by_run(idx, stacked), cfgs, state.augment_rngs)]
+            x = np.stack(xs) if stacked else xs[0]
         else:
-            g_ltr = g_update = nn.backward(state.params, rec, ltr.dlogits)
+            x = data.augment(dataset.features[idx], 0.0, None)
+        y = dataset.labels[idx]
+        rec = nn.forward(params, x)
+        terms = assemble_batch_losses(state, rec.logits, idx, y, dataset.class_counts)
+        finite = True
+        for name, runs, out in terms:
+            total = sums[name]
+            values = out.value.tolist() if stacked else (out.value,)
+            for s, value in zip(range(num_runs) if isinstance(runs, slice) else runs, values):
+                total[s] += value
+                finite &= math.isfinite(value)
+        if not finite:
+            _check_finite(terms, num_runs, state.epoch, batches)
 
-        nn.sgd_step(state.params, g_update, lr, cfg.momentum, state.velocity)
-        if next_cache is not None:
-            reflect.cache_update(next_cache, idx, rec.logits, y)
+        grads = nn.backward(params, rec, _logit_gradients(terms, rec.logits.shape, aux))
+        if aux is None:
+            g_ltr = g_update = grads
+            g_aux = None
+        else:
+            g_ltr, g_aux = grads[..., 0, :], grads[..., 1, :]
+            flags = conflict.conflict_stats(g_ltr[aux], g_aux[aux], starts)
+            _add(layer_hits, aux, flags)
+            _add(conflict_sums, aux, flags.sum(axis=-1) / flags.shape[-1])
+            aux_batches += 1
+            g_update = g_ltr + g_aux
+            if lay.no_aux is not None:
+                g_update[lay.no_aux] = g_ltr[lay.no_aux]
+            run_grads, run_update = _by_run(grads, stacked), _by_run(g_update, stacked)
+            for s in lay.kc:
+                # without a conflict the projection is g_aux + g_ltr: the row holds it
+                projected, conflicted = conflict.project_if_conflict(run_grads[s, 0], run_grads[s, 1])
+                if conflicted:
+                    run_update[s] = projected
+
+        nn.sgd_step(params, g_update, lr, lay.momentum, velocity)
+        if writes_cache:
+            reflect.cache_update(
+                state.cache, _rows(idx, lay.cache, lay.cache_rows), rec.logits[lay.cache], y[lay.cache]
+            )
         if store is not None:
-            store.add(idx, rec.features)
+            store.add(_rows(idx, medians, store_rows), rec.features[medians])
         if on_step is not None:
-            on_step({"g_ltr": g_ltr, "g_aux": g_aux, "g_update": g_update})
+            ltr_rows, update_rows = _by_run(g_ltr, stacked), _by_run(g_update, stacked)
+            for s in range(num_runs):
+                on_step({"run": s, "g_ltr": ltr_rows[s], "g_update": update_rows[s],
+                         "g_aux": _by_run(g_aux, stacked)[s] if has_aux[s] else None})
         batches += 1
 
-    state.cache = next_cache
+    if last:
+        state.cache = None
     if store is not None:
-        centers = reflect.class_centers_median(
-            store.features, dataset.labels, dataset.num_classes
-        )
-        state.soft_labels = reflect.build_soft_labels(centers, cfg.alpha)
+        held = np.arange(num_runs)[medians]
+        # run by run: a stacked median's copies of every run's class rows would
+        # raise the group's peak memory by more than the medians save in calls
+        for s, features in zip(held, store.features.reshape(len(held), n, -1)):
+            centers = reflect.class_centers_median(features, dataset.labels, dataset.num_classes)
+            state.soft_labels[s] = reflect.build_soft_labels(centers, cfgs[s].alpha)
+        if lay.ks is not None:
+            state.y_hat = np.concatenate(
+                [state.soft_labels[s].y_hat for s in np.arange(num_runs)[lay.ks]]
+            )
 
-    metrics = EpochMetrics(
-        epoch=state.epoch,
-        loss_ltr=sums["ltr"] / batches,
-        loss_kr=sums["kr"] / batches,
-        loss_ks=sums["ks"] / batches,
-        conflict_fraction=sums["conflict"] / aux_batches if aux_batches else 0.0,
-        layer_conflict_rates=(
-            {name: float(hits / aux_batches) for (name, _, _), hits in zip(spans, layer_hits)}
-            if aux_batches
-            else {}
-        ),
-    )
+    metrics = [
+        EpochMetrics(
+            epoch=state.epoch,
+            loss_ltr=sums["ltr"][s] / batches,
+            loss_kr=sums["kr"][s] / batches,
+            loss_ks=sums["ks"][s] / batches,
+            conflict_fraction=float(conflict_sums[s] / aux_batches) if has_aux[s] else 0.0,
+            layer_conflict_rates=(
+                {name: float(hits / aux_batches) for (name, _, _), hits in zip(spans, layer_hits[s])}
+                if has_aux[s]
+                else {}
+            ),
+        )
+        for s in range(num_runs)
+    ]
     state.epoch += 1
     return state, metrics
 
@@ -310,11 +537,58 @@ def write_conflicts_csv(path, rows) -> None:
     artifacts.write_csv(path, artifacts.CONFLICT_COLUMNS, rows)
 
 
+# Byte budget of one lockstep group's stacked per-run float64 state, a run's
+# estimated from the dataset's shape: 2*N*C for the review cache and its
+# tempering, N*H for the feature store and N_test*C for the previous test
+# logits. A group takes as many runs as fit: the stock set 48, the wide
+# 100-class set one, whose run needs 61 MB.
+GROUP_BYTES = 32 * 2**20
+
+
+def lockstep_groups(cfgs, train: data.Dataset, test: data.Dataset) -> list[list[int]]:
+    """Positions of `cfgs` by lockstep group: runs of one epochs, batch size
+    and hidden width, in first-appearance order, split to fit GROUP_BYTES."""
+    by_shape: dict[tuple, list[int]] = {}
+    for i, cfg in enumerate(cfgs):
+        by_shape.setdefault((cfg.epochs, cfg.batch_size, cfg.hidden_dim), []).append(i)
+    n, c = train.num_samples, train.num_classes
+    groups = []
+    for (_, _, hidden), members in by_shape.items():
+        per_run = 8 * (2 * n * c + n * (hidden or train.dim) + test.num_samples * c)
+        size = max(1, GROUP_BYTES // per_run)
+        groups += [members[i : i + size] for i in range(0, len(members), size)]
+    return groups
+
+
+def train_group(cfgs, train: data.Dataset, test: data.Dataset, split):
+    """Trains one lockstep group to its last epoch, evaluating run by run
+    after each epoch. Returns the final state, each run's EpochMetrics with
+    accuracies, and each run's (epoch, per-class KL) rows."""
+    state = init_state(cfgs, train)
+    histories = [[] for _ in cfgs]
+    kl_rows = [[] for _ in cfgs]
+    prev_logits = [None] * len(cfgs)
+    for _ in range(state.cfgs[0].epochs):
+        state, metrics = train_epoch(state, train)
+        for s, m in enumerate(metrics):
+            accs, logits = evaluate(state.params.run(s), test, split)
+            histories[s].append(replace(m, **accs))
+            if prev_logits[s] is not None:
+                kl = reflect.per_class_adjacent_kl(
+                    prev_logits[s], logits, test.labels, num_classes=train.num_classes
+                )
+                kl_rows[s].append((m.epoch, kl))
+            prev_logits[s] = logits
+    return state, histories, kl_rows
+
+
 def run_set(runs, dataset_path, test_path=None) -> list[dict]:
-    """Trains each `(cfg, out_dir)` of `runs` in order on one train/test pair,
-    loaded and checked once; returns the summary records in run order. Each
-    run writes metrics.csv, conflicts.csv, class_kl.csv, similarity.csv,
-    summary.json and config.echo, the `train` flag line that reproduces it."""
+    """Trains every `(cfg, out_dir)` of `runs` on one train/test pair, loaded
+    and checked once, in lockstep groups (`lockstep_groups`); returns the
+    summary records in run order. Each run's files equal the ones it writes
+    alone, byte for byte: metrics.csv, conflicts.csv, class_kl.csv,
+    similarity.csv, summary.json and config.echo, the `train` flag line that
+    reproduces it. A group that diverges writes none of its directories."""
     if not runs:
         raise ParameterError("a run set needs at least one run")
     train_path = Path(dataset_path)
@@ -332,50 +606,41 @@ def run_set(runs, dataset_path, test_path=None) -> list[dict]:
         )
     split = data.split_classes(train.class_counts)
 
-    summaries = []
-    for cfg, out_dir in runs:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    summaries = [None] * len(runs)
+    for group in lockstep_groups([cfg for cfg, _ in runs], train, test):
+        try:
+            state, histories, kl_rows = train_group([runs[i][0] for i in group], train, test, split)
+        except NumericError as exc:
+            if len(runs) == 1 or exc.run is None:
+                raise
+            raise NumericError(f"{exc} in run {runs[group[exc.run]][1]}") from None
+        for s, i in enumerate(group):
+            cfg, out_dir = runs[i]
+            out = Path(out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            history = histories[s]
+            conflict_rows = [
+                (m.epoch, name, 1 if rate >= 0.5 else 0, m.conflict_fraction)
+                for m in history
+                for name, rate in m.layer_conflict_rates.items()
+            ]
+            write_metrics_csv(out / "metrics.csv", history)
+            write_conflicts_csv(out / "conflicts.csv", conflict_rows)
+            reflect.write_class_kl_series(out / "class_kl.csv", kl_rows[s])
+            reflect.write_matrix_csv(out / "similarity.csv", state.soft_labels[s].M)
+            echo = train_echo(cfg, dataset_path, out_dir, test_path)
+            (out / "config.echo").write_text(echo + "\n")
 
-        state = init_state(cfg, train)
-        history: list[EpochMetrics] = []
-        kl_rows = []
-        conflict_rows = []
-        prev_logits = None
-        for _ in range(cfg.epochs):
-            state, metrics = train_epoch(state, train, cfg)
-            accs, logits = evaluate(state.params, test, split)
-            metrics = replace(metrics, **accs)
-            history.append(metrics)
-            if prev_logits is not None:
-                kl = reflect.per_class_adjacent_kl(
-                    prev_logits, logits, test.labels, num_classes=train.num_classes
-                )
-                kl_rows.append((metrics.epoch, kl))
-            prev_logits = logits
-            for name, rate in metrics.layer_conflict_rates.items():
-                conflict_rows.append(
-                    (metrics.epoch, name, 1 if rate >= 0.5 else 0, metrics.conflict_fraction)
-                )
-
-        write_metrics_csv(out / "metrics.csv", history)
-        write_conflicts_csv(out / "conflicts.csv", conflict_rows)
-        reflect.write_class_kl_series(out / "class_kl.csv", kl_rows)
-        reflect.write_matrix_csv(out / "similarity.csv", state.soft_labels.M)
-        echo = train_echo(cfg, dataset_path, out_dir, test_path)
-        (out / "config.echo").write_text(echo + "\n")
-
-        final = history[-1]
-        summary = {
-            "config": asdict(cfg),
-            "dataset": str(train_path),
-            "test_dataset": str(tp),
-            "epochs_run": len(history),
-            "final": {col: getattr(final, col) for col in METRIC_COLUMNS},
-            "echo": echo,
-        }
-        artifacts.write_json(out / "summary.json", summary, strict=False)
-        summaries.append(summary)
+            final = history[-1]
+            summaries[i] = {
+                "config": asdict(cfg),
+                "dataset": str(train_path),
+                "test_dataset": str(tp),
+                "epochs_run": len(history),
+                "final": {col: getattr(final, col) for col in METRIC_COLUMNS},
+                "echo": echo,
+            }
+            artifacts.write_json(out / "summary.json", summaries[i], strict=False)
     return summaries
 
 

@@ -261,11 +261,11 @@ def test_criterion_06_reduction_bit_for_bit(default_dataset, report):
     cfg = trend_config(epochs=8)
     expected = baseline_run(cfg, train, test, split)
 
-    state = trainer.init_state(cfg, train)
+    state = trainer.init_state([cfg], train)
     ok = True
     for epoch in range(cfg.epochs):
-        state, m = trainer.train_epoch(state, train, cfg)
-        m = replace(m, **trainer.evaluate(state.params, test, split)[0])
+        state, (m,) = trainer.train_epoch(state, train)
+        m = replace(m, **trainer.evaluate(state.params.run(0), test, split)[0])
         ref_loss, ref_accs = expected[epoch]
         ok &= m.loss_ltr == ref_loss
         for key, value in ref_accs.items():
@@ -336,7 +336,7 @@ def test_criterion_09_conflict_diagnostic(grid, workdir, default_dataset, report
 
     train = data.load_dataset(default_dataset)
     cfg = trend_config(use_kr=True, use_ks=True, use_kc=True, epochs=10)
-    state = trainer.init_state(cfg, train)
+    state = trainer.init_state([cfg], train)
     worst = [0.0]
 
     def check(step):
@@ -344,7 +344,7 @@ def test_criterion_09_conflict_diagnostic(grid, workdir, default_dataset, report
             worst[0] = min(worst[0], cos_angle(step["g_update"] - step["g_ltr"], step["g_ltr"]))
 
     for _ in range(cfg.epochs):
-        state, _ = trainer.train_epoch(state, train, cfg, on_step=check)
+        state, _ = trainer.train_epoch(state, train, on_step=check)
     opposition_ok = worst[0] >= -1e-9
     report(
         9,

@@ -106,6 +106,15 @@ def test_missing_dataset_is_runtime_error(tmp_path):
     assert code == 1
 
 
+def test_train_prints_its_flag_line_only_after_the_pair_loads(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["train", "--data", str(tmp_path / "missing.ltds"), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: dataset file not found")
+    assert not out.exists()
+
+
 # --- synth ---------------------------------------------------------------------------
 
 

@@ -87,6 +87,32 @@ def test_layers_are_views_into_flat(seed, hidden):
     assert not np.array_equal(nn.forward(params, batch).logits, before)
 
 
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0, 32]), st.integers(1, 16))
+def test_a_stack_steps_each_model_as_it_steps_alone(seed, hidden, batch):
+    """Row s of a stack's flat buffer is model s: views into it, and its
+    forward, K-stacked backward and SGD step bitwise those of model s alone."""
+    rng = np.random.default_rng(seed)
+    models = [nn.init_params(32, 20, hidden, rng) for _ in range(3)]
+    stack = nn.stack_params(models)
+    for w, b in stack.layers:
+        assert np.shares_memory(w, stack.flat) and np.shares_memory(b, stack.flat)
+    x = rng.normal(size=(3, batch, 32))
+    g = rng.normal(size=(3, 2, batch, 20))
+    rec = nn.forward(stack, x)
+    grads = nn.backward(stack, rec, g)
+    lr, momentum = np.array([[0.1], [0.05], [0.2]]), np.array([[0.9], [0.0], [0.5]])
+    velocity = rng.normal(size=stack.flat.shape)
+    alone_velocity = velocity.copy()
+    nn.sgd_step(stack, grads[:, 0], lr, momentum, velocity)
+    for s, model in enumerate(models):
+        one = nn.forward(model, x[s])
+        assert rec.logits[s].tobytes() == one.logits.tobytes()
+        assert grads[s].tobytes() == nn.backward(model, one, g[s]).tobytes()
+        nn.sgd_step(model, grads[s, 0], lr[s, 0], momentum[s, 0], alone_velocity[s])
+        assert stack.run(s).flat.tobytes() == model.flat.tobytes()
+        assert velocity[s].tobytes() == alone_velocity[s].tobytes()
+
+
 def test_sgd_step_output_matches_a_rebuilt_model():
     rng = np.random.default_rng(12)
     params = nn.init_params(4, 3, 5, rng)

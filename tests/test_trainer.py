@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import shlex
 import shutil
 from dataclasses import asdict, replace
@@ -79,10 +81,10 @@ def test_all_components_off_matches_plain_baseline_bitwise(ltr, use_kc):
     cfg = tiny_cfg(ltr_loss=ltr, use_kc=use_kc)
     expected = baseline_run(cfg, train, test, split)
 
-    state = trainer.init_state(cfg, train)
+    state = trainer.init_state([cfg], train)
     for epoch in range(cfg.epochs):
-        state, metrics = trainer.train_epoch(state, train, cfg)
-        metrics = replace(metrics, **trainer.evaluate(state.params, test, split)[0])
+        state, (metrics,) = trainer.train_epoch(state, train)
+        metrics = replace(metrics, **trainer.evaluate(state.params.run(0), test, split)[0])
         ref_loss, ref_accs = expected[epoch]
         assert metrics.loss_ltr == ref_loss
         for key, value in ref_accs.items():
@@ -93,19 +95,19 @@ def test_all_components_off_matches_plain_baseline_bitwise(ltr, use_kc):
 def test_warm_up_epoch_contributes_no_regularization():
     train, test, split = tiny_sets()
     off = tiny_cfg(epochs=2)
-    state_off, _ = trainer.train_epoch(trainer.init_state(off, train), train, off)
+    state_off, _ = trainer.train_epoch(trainer.init_state([off], train), train)
     # the full stack, and KS alone: without KR there is no prediction cache,
     # so KS's warm-up gate is its own soft labels
     for on, switched_on in (
         (tiny_cfg(use_kr=True, use_ks=True, use_kc=True, epochs=2), ("loss_kr", "loss_ks")),
         (tiny_cfg(use_ks=True, epochs=2), ("loss_ks",)),
     ):
-        state_on, m_on = trainer.train_epoch(trainer.init_state(on, train), train, on)
+        state_on, (m_on,) = trainer.train_epoch(trainer.init_state([on], train), train)
         assert m_on.loss_kr == 0.0 and m_on.loss_ks == 0.0
         assert np.array_equal(state_on.params.flat, state_off.params.flat)
         # second epoch: the cache (KR) and the soft labels (KS) exist, so
         # the regularizers switch on
-        state_on, m_on2 = trainer.train_epoch(state_on, train, on)
+        state_on, (m_on2,) = trainer.train_epoch(state_on, train)
         for name in switched_on:
             assert getattr(m_on2, name) > 0.0, (on, name)
 
@@ -115,11 +117,11 @@ def test_two_runs_identical_metrics_stream():
     cfg = tiny_cfg(use_kr=True, use_ks=True, use_kc=True)
 
     def collect():
-        state = trainer.init_state(cfg, train)
+        state = trainer.init_state([cfg], train)
         out = []
         for _ in range(cfg.epochs):
-            state, m = trainer.train_epoch(state, train, cfg)
-            out.append(replace(m, **trainer.evaluate(state.params, test, split)[0]))
+            state, (m,) = trainer.train_epoch(state, train)
+            out.append(replace(m, **trainer.evaluate(state.params.run(0), test, split)[0]))
         return out
 
     for a, b in zip(collect(), collect()):
@@ -143,9 +145,9 @@ def test_no_prediction_cache_without_kr_or_mse_ablation(monkeypatch):
     train, test, split = tiny_sets()
     calls = recording(monkeypatch, reflect, "cache_update")
     cfg = tiny_cfg(use_ks=True, use_kc=True, epochs=3)
-    state = trainer.init_state(cfg, train)
+    state = trainer.init_state([cfg], train)
     for _ in range(cfg.epochs):
-        state, _ = trainer.train_epoch(state, train, cfg)
+        state, _ = trainer.train_epoch(state, train)
         assert state.cache is None
     assert calls == []
 
@@ -184,23 +186,77 @@ def test_train_epoch_matches_the_serial_oracle_bitwise(kw):
     train, test, split = stock_sets()
     cfg = trainer.TrainConfig(alpha=0.95, epochs=3, **kw)
     params, velocity, history, soft_labels = serial_run(cfg, train, test, split)
-    state = trainer.init_state(cfg, train)
+    state = trainer.init_state([cfg], train)
     for expected in history:
-        state, metrics = trainer.train_epoch(state, train, cfg)
-        metrics = replace(metrics, **trainer.evaluate(state.params, test, split)[0])
+        state, (metrics,) = trainer.train_epoch(state, train)
+        metrics = replace(metrics, **trainer.evaluate(state.params.run(0), test, split)[0])
         assert repr(asdict(metrics)) == repr(asdict(expected))  # repr tells -0.0 and nan apart
     assert state.params.flat.tobytes() == params.flat.tobytes()
     assert state.velocity.tobytes() == velocity.tobytes()
-    assert state.soft_labels.M.tobytes() == soft_labels.M.tobytes()
+    assert state.soft_labels[0].M.tobytes() == soft_labels.M.tobytes()
+
+
+def test_run_set_matches_the_serial_oracle_per_run(tmp_path, monkeypatch):
+    """One heterogeneous set, split into lockstep groups by epochs and hidden
+    width: every run ends where the serial oracle ends, bit for bit."""
+    train, test, split = stock_sets()
+    train_path = tmp_path / "stock.ltds"
+    data.save_dataset(train, train_path)
+    data.save_dataset(test, trainer.default_test_path(train_path))
+    base = dict(alpha=0.95, epochs=3)
+    cfgs = [
+        trainer.TrainConfig(**base),
+        trainer.TrainConfig(**base, ltr_loss="bsce"),
+        trainer.TrainConfig(**base, **FULL_STACK),
+        trainer.TrainConfig(**base, use_mse_ablation=True, use_ks=True, use_kc=True, lr=0.01),
+        trainer.TrainConfig(**base, **FULL_STACK, sigma_aug=0.3),
+        trainer.TrainConfig(**dict(base, alpha=0.8), **FULL_STACK, lr=0.03, tau=3.0,
+                            momentum=0.5, seed=5),
+        trainer.TrainConfig(**base, use_kr=True, lr=0.07, tau=1.5, momentum=0.8, seed=2),
+        trainer.TrainConfig(**base, hidden_dim=0, use_kr=True, use_kc=True),
+        trainer.TrainConfig(**dict(base, epochs=2), **FULL_STACK),
+    ]
+    groups = []
+    train_group = trainer.train_group
+
+    def recording_group(group_cfgs, *args):
+        out = train_group(group_cfgs, *args)
+        groups.append((group_cfgs, out))
+        return out
+
+    monkeypatch.setattr(trainer, "train_group", recording_group)
+    trainer.run_set([(cfg, tmp_path / str(i)) for i, cfg in enumerate(cfgs)], train_path)
+    assert sorted(len(group_cfgs) for group_cfgs, _ in groups) == [1, 1, 7]
+    for group_cfgs, (state, histories, _) in groups:
+        for s, cfg in enumerate(group_cfgs):
+            params, velocity, history, soft_labels = serial_run(cfg, train, test, split)
+            # repr tells -0.0 and nan apart
+            assert [repr(asdict(m)) for m in histories[s]] == [repr(asdict(m)) for m in history]
+            assert state.params.flat[s].tobytes() == params.flat.tobytes(), cfg
+            assert state.velocity[s].tobytes() == velocity.tobytes(), cfg
+            assert state.soft_labels[s].M.tobytes() == soft_labels.M.tobytes(), cfg
+            assert state.soft_labels[s].y_hat.tobytes() == soft_labels.y_hat.tobytes(), cfg
+
+
+def test_a_set_makes_one_backward_per_lockstep_step(monkeypatch):
+    train, test, split = tiny_sets()
+    cfgs = [tiny_cfg(**FULL_STACK, epochs=2, seed=seed) for seed in range(4)]
+    state, _ = trainer.train_epoch(trainer.init_state(cfgs, train), train)
+    calls = recording(monkeypatch, nn, "backward")
+    steps = []
+    trainer.train_epoch(state, train, on_step=steps.append)
+    assert all(step["g_aux"] is not None for step in steps)
+    assert len(calls) == math.ceil(train.num_samples / cfgs[0].batch_size)
+    assert len(steps) == len(cfgs) * len(calls)
 
 
 def test_full_stack_epoch_runs_one_backward_per_batch(monkeypatch):
     train, test, split = tiny_sets()
     cfg = tiny_cfg(**FULL_STACK, epochs=2)
-    state, _ = trainer.train_epoch(trainer.init_state(cfg, train), train, cfg)
+    state, _ = trainer.train_epoch(trainer.init_state([cfg], train), train)
     calls = recording(monkeypatch, nn, "backward")
     steps = []
-    trainer.train_epoch(state, train, cfg, on_step=steps.append)
+    trainer.train_epoch(state, train, on_step=steps.append)
     assert all(step["g_aux"] is not None for step in steps)
     assert len(calls) == len(steps)
 
@@ -214,9 +270,9 @@ def test_mse_ablation_replaces_the_review_divergence():
     mse_cfg = tiny_cfg(use_mse_ablation=True, epochs=3)
 
     def second_epoch_aux(cfg):
-        state = trainer.init_state(cfg, train)
-        state, _ = trainer.train_epoch(state, train, cfg)
-        state, m = trainer.train_epoch(state, train, cfg)
+        state = trainer.init_state([cfg], train)
+        state, _ = trainer.train_epoch(state, train)
+        state, (m,) = trainer.train_epoch(state, train)
         return m.loss_kr
 
     kr_val = second_epoch_aux(kr_cfg)
@@ -225,14 +281,50 @@ def test_mse_ablation_replaces_the_review_divergence():
     assert kr_val != mse_val  # different matching functions, same filter
 
 
+def test_a_diverging_run_aborts_its_group_unwritten(tmp_path):
+    """The first non-finite loss aborts the group; with more than one run
+    the message names the run's directory, and no run of the group is
+    written."""
+    train_path = write_tiny_pair(tmp_path)
+    diverging = tiny_cfg(use_mse_ablation=True, lr=1e30, epochs=4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError) as alone:
+            trainer.run_experiment(diverging, train_path, tmp_path / "alone")
+        runs = [(tiny_cfg(epochs=4), tmp_path / "ok"), (diverging, tmp_path / "bad")]
+        with pytest.raises(NumericError) as in_set:
+            trainer.run_set(runs, train_path)
+    assert re.fullmatch(r"non-finite (ltr|kr|ks) loss at epoch \d+, batch \d+", str(alone.value))
+    assert str(in_set.value) == f"{alone.value} in run {tmp_path / 'bad'}"
+    assert not any(path.exists() for path in (tmp_path / "alone", tmp_path / "ok", tmp_path / "bad"))
+
+
+def test_a_set_split_by_the_memory_budget_writes_the_same_files(tmp_path, monkeypatch):
+    train_path = write_tiny_pair(tmp_path)
+    train = data.load_dataset(train_path)
+    test = data.load_dataset(trainer.default_test_path(train_path))
+    cells = ({}, FULL_STACK, dict(use_ks=True), dict(use_kr=True, use_kc=True))
+    cfgs = [tiny_cfg(seed=seed, **kw) for seed in (0, 1) for kw in cells]
+    groups = recording(monkeypatch, trainer, "train_group")
+    trainer.run_set([(cfg, tmp_path / "whole" / str(i)) for i, cfg in enumerate(cfgs)], train_path)
+    n, c = train.num_samples, train.num_classes
+    per_run = 8 * (2 * n * c + n * cfgs[0].hidden_dim + test.num_samples * c)
+    monkeypatch.setattr(trainer, "GROUP_BYTES", 3 * per_run)
+    trainer.run_set([(cfg, tmp_path / "split" / str(i)) for i, cfg in enumerate(cfgs)], train_path)
+    assert [len(args[0]) for args in groups] == [8, 3, 3, 2]
+    for i in range(len(cfgs)):
+        for name in ("metrics.csv", "conflicts.csv", "class_kl.csv", "similarity.csv"):
+            whole = (tmp_path / "whole" / str(i) / name).read_bytes()
+            assert (tmp_path / "split" / str(i) / name).read_bytes() == whole, (i, name)
+
+
 def test_non_finite_loss_aborts_with_diagnostic():
     train, test, split = tiny_sets()
     cfg = tiny_cfg(use_mse_ablation=True, lr=1e30, epochs=4)
-    state = trainer.init_state(cfg, train)
+    state = trainer.init_state([cfg], train)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError):
             for _ in range(cfg.epochs):
-                state, _ = trainer.train_epoch(state, train, cfg)
+                state, _ = trainer.train_epoch(state, train)
 
 
 # --- conflict correction in the loop ---------------------------------------------------
@@ -241,7 +333,7 @@ def test_non_finite_loss_aborts_with_diagnostic():
 def test_kc_update_never_opposes_task_gradient():
     train, test, split = tiny_sets()
     cfg = tiny_cfg(use_kr=True, use_ks=True, use_kc=True)
-    state = trainer.init_state(cfg, train)
+    state = trainer.init_state([cfg], train)
     seen_aux = 0
 
     def check(step):
@@ -252,15 +344,15 @@ def test_kc_update_never_opposes_task_gradient():
         assert cos_angle(step["g_update"] - step["g_ltr"], step["g_ltr"]) >= -1e-9
 
     for _ in range(cfg.epochs):
-        state, _ = trainer.train_epoch(state, train, cfg, on_step=check)
+        state, _ = trainer.train_epoch(state, train, on_step=check)
     assert seen_aux > 0
 
 
 def test_kr_rows_for_previously_wrong_samples_get_zero_gradient():
     train, test, split = tiny_sets()
     cfg = tiny_cfg(use_kr=True)
-    state = trainer.init_state(cfg, train)
-    state, _ = trainer.train_epoch(state, train, cfg)  # builds the cache
+    state = trainer.init_state([cfg], train)
+    state, _ = trainer.train_epoch(state, train)  # builds the cache
     cache = state.cache
     wrong = ~cache.correct_mask
     if not wrong.any():
