@@ -135,24 +135,19 @@ def bsce_loss(logits, labels, class_counts) -> LossOutput:
     return ce_loss(adjusted, labels)
 
 
-def _positive(tau) -> bool:
-    return bool((tau > 0).all()) if isinstance(tau, np.ndarray) else tau > 0
-
-
 def kl_distill(prev_logits, cur_logits, tau=1.0, counts=None) -> LossOutput:
     """Temperature-scaled KL(prev || cur), batch mean, with the tau^2 prefactor.
 
     prev_logits is a constant soft target; the gradient (tau * (p_cur -
     p_prev) / B) flows only to cur_logits. With `counts` (one row count per
-    batch), tau is an [M, 1] column holding each row's batch temperature.
+    batch), the rows are several batches one after another.
     """
     return kl_to_targets(tempered_log_probs(prev_logits, tau), cur_logits, tau, counts)
 
 
 def tempered_log_probs(prev_logits, tau) -> np.ndarray:
-    """kl_distill's targets log_softmax(prev_logits / tau), row by row; tau
-    is a scalar or an [N, 1] column."""
-    if not _positive(tau):
+    """kl_distill's targets log_softmax(prev_logits / tau), row by row."""
+    if not tau > 0:
         raise ParameterError(f"temperature must be positive, got {tau}")
     return _log_softmax(_as_logits(prev_logits) / tau)
 
@@ -165,11 +160,8 @@ def kl_to_targets(logp_prev, cur_logits, tau, counts=None) -> LossOutput:
         raise DimensionError(f"logit shapes differ: {logp_prev.shape} vs {cur.shape}")
     logp_cur = _log_softmax(cur / tau)
     p_prev = np.exp(logp_prev)
-    tau_sq = tau * tau
-    if isinstance(tau_sq, np.ndarray):
-        tau_sq = tau_sq.ravel()  # an [M, 1] column of row temperatures
     # 0 * log 0 := 0 (p_prev underflows to 0 before logp_prev hits -inf)
-    per_row = tau_sq * np.where(
+    per_row = tau * tau * np.where(
         p_prev > 0, p_prev * (logp_prev - logp_cur), 0.0
     ).sum(axis=1)
     value, dlogits = _batch_means(per_row, tau * (np.exp(logp_cur) - p_prev), counts)

@@ -160,11 +160,6 @@ def backward(params: ModelParams, record: ForwardRecord, dloss_dlogits) -> np.nd
     )
 
 
-def _holds(condition) -> bool:
-    """A scalar condition, or every entry of an array one."""
-    return bool(condition.all()) if isinstance(condition, np.ndarray) else bool(condition)
-
-
 def sgd_step(
     params: ModelParams,
     grad: np.ndarray,
@@ -173,16 +168,15 @@ def sgd_step(
     velocity: np.ndarray,
 ) -> None:
     """Heavy-ball update: v <- momentum*v + g; theta <- theta - lr*v. In place.
-    A stack of S models takes [S, P] gradients and velocity; lr and momentum
-    may then be [S, 1] columns, one value per model."""
+    A stack of S models takes [S, P] gradients and velocity."""
     g = np.asarray(grad, dtype=np.float64)
     if g.shape != params.flat.shape:
         raise DimensionError(
             f"gradient has shape {g.shape}, model has {params.flat.shape} params"
         )
-    if not _holds(lr > 0):
+    if not lr > 0:
         raise ParameterError(f"learning rate must be positive, got {lr}")
-    if not _holds((momentum >= 0) & (momentum < 1)):
+    if not 0 <= momentum < 1:
         raise ParameterError(f"momentum must be in [0, 1), got {momentum}")
     if not np.isfinite(g).all():
         raise NumericError("gradient contains non-finite entries; step aborted")

@@ -26,14 +26,13 @@ class EpochCache:
     tempered: bool = False  # kr_batch_loss reads its rows as review targets
 
 
-def temper(cache: EpochCache, tau, rows=slice(None)) -> None:
-    """Turns the cached logits of `rows` into their review targets
+def temper(cache: EpochCache, tau: float) -> None:
+    """Turns the cached logits into their review targets
     tempered_log_probs(logits, tau) in place, all at once instead of batch
-    by batch in kr_batch_loss, which must then be given the same tau; tau is
-    a scalar or one value per row as a column. cache_update writes logits
-    over them again: a lockstep epoch tempers the previous epoch's rows and
-    reads each one before its step rewrites it."""
-    cache.prev_logits[rows] = tempered_log_probs(cache.prev_logits[rows], tau)
+    by batch in kr_batch_loss, which must then be given the same tau.
+    cache_update writes logits over them again: a lockstep epoch tempers the
+    previous epoch's rows and reads each one before its step rewrites it."""
+    cache.prev_logits[:] = tempered_log_probs(cache.prev_logits, tau)
     cache.tempered = True
 
 
@@ -95,19 +94,16 @@ def kr_batch_loss(cache: EpochCache, indices, cur_logits, tau) -> LossOutput:
     """Distillation toward the cached predictions, restricted to rows the
     previous epoch classified correctly; the mean is over qualifying rows.
     Rows outside the filter get exactly-zero gradient. A stack of batches
-    ([S, B] indices, [S, B, C] logits) takes one tau per batch and returns
-    one value per batch. The targets are the ones `temper` took, if it did,
-    and otherwise taken from the kept rows alone: row-wise, so either way
-    each row's bits equal kl_distill's on the batch.
+    ([S, B] indices, [S, B, C] logits) returns one value per batch. The
+    targets are the ones `temper` took, if it did, and otherwise taken from
+    the kept rows alone: row-wise, so either way each row's bits equal
+    kl_distill's on the batch.
     """
 
     def review(rows, cur, counts):
-        t = tau
-        if isinstance(tau, np.ndarray) and counts is not None:  # a temperature per batch
-            t = np.repeat(tau, counts)[:, None]
         if cache.tempered:
-            return kl_to_targets(cache.prev_logits[rows], cur, t, counts)
-        return kl_distill(cache.prev_logits[rows], cur, t, counts)
+            return kl_to_targets(cache.prev_logits[rows], cur, tau, counts)
+        return kl_distill(cache.prev_logits[rows], cur, tau, counts)
 
     return _masked_batch_loss(cache, indices, cur_logits, review)
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import shlex
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -125,14 +125,15 @@ class EpochMetrics:
     layer_conflict_rates: dict[str, float] = field(default_factory=dict)
 
 
-# Lockstep groups. The runs of a group step together: one stacked forward,
-# loss assembly, backward, conflict_stats and sgd_step serve them all. A
-# component that is off in a run is a zero row (its auxiliary gradient) or
-# left out by an index subset; a subset of every run is `slice(None)`, so it
-# indexes nothing and copies nothing, and a one-run group drops the run axis
-# altogether. Bitwise rules this relies on, each measured on numpy 2.4 with
-# OpenBLAS at 1 and 2 threads, and held end to end by the serial oracle
-# tests (tests/oracles.py::serial_run):
+# Lockstep groups. The runs of a group differ only in components (KR, KS,
+# KC) and seed (`group_key`); every other setting is the group's. They step
+# together: one stacked forward, loss assembly, backward, conflict_stats and
+# sgd_step serve them all. A component that is off in a run is a zero row
+# (its auxiliary gradient) or left out by an index subset; a subset of every
+# run is `slice(None)`, so it indexes nothing and copies nothing, and a
+# one-run group drops the run axis altogether. Bitwise rules this relies on,
+# each measured on numpy 2.4 with OpenBLAS at 1 and 2 threads, and held end
+# to end by the serial oracle tests (tests/oracles.py::serial_run):
 # - A stacked matmul ([S, B, D] @ [S, D, H], broadcast over a K axis too)
 #   equals the per-slice `@`, bit for bit.
 # - Last-axis row reductions (`.sum(axis=-1)`, `.max(axis=-1)`) and
@@ -148,6 +149,11 @@ class EpochMetrics:
 #   writes to a copy: the losses write only into arrays they allocated.
 
 
+def group_key(cfg: TrainConfig) -> tuple:
+    """Every field but the components and the seed: a lockstep group's runs share it."""
+    return astuple(replace(cfg, use_kr=False, use_ks=False, use_kc=False, seed=0))
+
+
 def _subset(flags) -> slice | np.ndarray | None:
     """The runs whose flag is set: every run as slice(None), none as None."""
     flags = np.asarray(flags, dtype=bool)
@@ -160,81 +166,50 @@ def _size(runs, num_runs: int) -> int:
     return num_runs if isinstance(runs, slice) else len(runs)
 
 
-def _offsets(positions: np.ndarray, rows_per_run: int) -> np.ndarray | None:
-    """Row offsets [R, 1] of runs at these positions of a run-major buffer;
-    None for the one run at position 0, whose rows need none."""
-    return None if positions.tolist() == [0] else positions[:, None] * rows_per_run
-
-
-def _per_run(values) -> float | np.ndarray:
-    """One value for every run as a scalar; differing values as an [S, 1] column."""
-    values = [float(v) for v in values]
-    return values[0] if len(set(values)) == 1 else np.array(values)[:, None]
+def _offsets(count: int, rows_per_run: int) -> np.ndarray | None:
+    """Row offsets [count, 1] of that many runs' rows in a run-major buffer;
+    None for a single run, whose rows need none."""
+    return None if count == 1 else np.arange(count)[:, None] * rows_per_run
 
 
 @dataclass(frozen=True)
 class GroupLayout:
     """Which runs of a lockstep group use what, fixed for the group's life.
-    Cache rows are run-major over the `cache` runs (KR or the MSE ablation),
-    store rows over the runs that take medians; an offset of a single run's
-    rows is None."""
+    Cache rows are run-major over the `review` runs (KR, or every run of an
+    MSE ablation group), store rows over the runs that take medians; an
+    offset of a single run's rows is None."""
 
-    ce: slice | np.ndarray | None
-    bsce: slice | np.ndarray | None
-    kr: slice | np.ndarray | None
-    mse: slice | np.ndarray | None
-    cache: slice | np.ndarray | None
+    review: slice | np.ndarray | None
     ks: slice | np.ndarray | None
     aux: slice | np.ndarray | None  # runs with an auxiliary gradient once epoch 0 is done
     no_aux: slice | np.ndarray | None
     kc: list[int]  # aux runs that project
-    augmented: list[int]
-    kr_rows: np.ndarray | None  # [S_kr, 1] cache row offset of each KR run
-    mse_rows: np.ndarray | None
-    cache_rows: np.ndarray | None
+    review_rows: np.ndarray | None  # [S_review, 1] cache row offset of each review run
     ks_rows: np.ndarray | None  # [S_ks, 1] row offset of each KS run's soft targets
-    tau: float | np.ndarray  # review temperature of each KR run
-    kr_cache: slice | np.ndarray  # the cache rows of the KR runs
-    kr_cache_tau: float | np.ndarray  # ... and their temperatures
-    momentum: float | np.ndarray
 
     @classmethod
     def of(cls, cfgs: list[TrainConfig], num_samples: int, num_classes: int) -> GroupLayout:
         def flags(name):
             return np.array([getattr(cfg, name) for cfg in cfgs])
 
-        kr, mse, ks = flags("use_kr"), flags("use_mse_ablation"), flags("use_ks")
-        aux = kr | mse | ks
-        reads = np.flatnonzero(kr | mse)
-        tau = _per_run(flags("tau")[kr]) if kr.any() else 0.0
+        review = flags("use_kr") | flags("use_mse_ablation")
+        ks = flags("use_ks")
+        aux = review | ks
         return cls(
-            ce=_subset(flags("ltr_loss") == "ce"),
-            bsce=_subset(flags("ltr_loss") == "bsce"),
-            kr=_subset(kr),
-            mse=_subset(mse),
-            cache=_subset(kr | mse),
+            review=_subset(review),
             ks=_subset(ks),
             aux=_subset(aux),
             no_aux=_subset(~aux),
             kc=np.flatnonzero(flags("use_kc") & aux).tolist(),
-            augmented=np.flatnonzero(flags("sigma_aug") > 0).tolist(),
-            kr_rows=_offsets(np.searchsorted(reads, np.flatnonzero(kr)), num_samples),
-            mse_rows=_offsets(np.searchsorted(reads, np.flatnonzero(mse)), num_samples),
-            cache_rows=_offsets(np.arange(len(reads)), num_samples),
-            ks_rows=_offsets(np.arange(ks.sum()), num_classes),
-            tau=tau,
-            kr_cache=slice(None) if kr[reads].all() else np.flatnonzero(
-                np.repeat(kr[reads], num_samples)
-            ),
-            kr_cache_tau=np.repeat(tau, num_samples)[:, None] if np.ndim(tau) else tau,
-            momentum=_per_run(flags("momentum")),
+            review_rows=_offsets(review.sum(), num_samples),
+            ks_rows=_offsets(ks.sum(), num_classes),
         )
 
 
 @dataclass
 class TrainerState:
-    """The runs of one lockstep group: same epochs, batch size and hidden
-    width. Row s of `params.flat` and `velocity` is run s's, and each run
+    """The runs of one lockstep group: one config up to the components and
+    the seed. Row s of `params.flat` and `velocity` is run s's, and each run
     keeps its own shuffle and augmentation streams."""
 
     cfgs: list[TrainConfig]
@@ -260,8 +235,8 @@ def init_state(cfgs, dataset: data.Dataset) -> TrainerState:
     """A lockstep group of the given configs; each run is initialised from
     its own seed exactly as it would be alone."""
     cfgs = list(cfgs)
-    if len({(cfg.epochs, cfg.batch_size, cfg.hidden_dim) for cfg in cfgs}) != 1:
-        raise ParameterError("a lockstep group needs one epochs, batch_size and hidden_dim")
+    if len({group_key(cfg) for cfg in cfgs}) != 1:
+        raise ParameterError("a lockstep group's runs differ only in use_kr, use_ks, use_kc and seed")
     streams = [rng_streams(cfg.seed) for cfg in cfgs]
     params = nn.stack_params(
         [nn.init_params(dataset.dim, dataset.num_classes, cfg.hidden_dim, init)
@@ -276,11 +251,6 @@ def init_state(cfgs, dataset: data.Dataset) -> TrainerState:
         augment_rngs=[augment for _, _, augment in streams],
         soft_labels=[None] * len(cfgs),
     )
-
-
-def _pick(pair, runs):
-    """Both arrays of a (log-probabilities, probabilities) pair for the given runs."""
-    return pair if isinstance(runs, slice) else (pair[0][runs], pair[1][runs])
 
 
 def _add(target, runs, value) -> None:
@@ -308,33 +278,32 @@ def assemble_batch_losses(
     labels: np.ndarray,
     class_counts: np.ndarray,
 ) -> list[tuple[str, slice | np.ndarray, losses.LossOutput]]:
-    """(name, runs, loss) terms of one lockstep batch, task losses first: the
-    LTR loss of every run, then review (KR or MSE) and KS on their runs. The
-    warm-up epoch has neither a prediction cache nor soft labels, so no
-    regularizer contributes anything. With KS on, CE and soft_ce share one
-    log-softmax of the logits; BSCE takes its own, of the shifted logits."""
-    lay = state.layout
+    """(name, runs, loss) terms of one lockstep batch: the LTR loss of every
+    run, then review (KR, or MSE in an MSE ablation group) and KS on their
+    runs. The warm-up epoch has neither a prediction cache nor soft labels,
+    so no regularizer contributes anything. With KS on, CE and soft_ce share
+    one log-softmax of the logits; BSCE takes its own, of the shifted logits."""
+    lay, cfg = state.layout, state.cfgs[0]
     active = state.epoch > 0
     raw = losses.log_softmax(logits) if active and lay.ks is not None else None
-    terms = []
-    if lay.ce is not None:
-        ce_raw = None if raw is None else _pick(raw, lay.ce)
-        terms.append(("ltr", lay.ce, losses.ce_loss(logits[lay.ce], labels[lay.ce], ce_raw)))
-    if lay.bsce is not None:
-        terms.append(
-            ("ltr", lay.bsce, losses.bsce_loss(logits[lay.bsce], labels[lay.bsce], class_counts))
-        )
+    if cfg.ltr_loss == "bsce":
+        ltr = losses.bsce_loss(logits, labels, class_counts)
+    else:
+        ltr = losses.ce_loss(logits, labels, raw)
+    terms = [("ltr", slice(None), ltr)]
     if not active:
         return terms
-    if lay.kr is not None:
-        rows = _rows(indices, lay.kr, lay.kr_rows)
-        terms.append(("kr", lay.kr, reflect.kr_batch_loss(state.cache, rows, logits[lay.kr], lay.tau)))
-    if lay.mse is not None:
-        rows = _rows(indices, lay.mse, lay.mse_rows)
-        terms.append(("kr", lay.mse, reflect.mse_batch_loss(state.cache, rows, logits[lay.mse])))
+    if lay.review is not None:
+        rows = _rows(indices, lay.review, lay.review_rows)
+        if cfg.use_mse_ablation:
+            review = reflect.mse_batch_loss(state.cache, rows, logits[lay.review])
+        else:
+            review = reflect.kr_batch_loss(state.cache, rows, logits[lay.review], cfg.tau)
+        terms.append(("kr", lay.review, review))
     if lay.ks is not None:
         targets = state.y_hat[_rows(labels, lay.ks, lay.ks_rows)]
-        terms.append(("ks", lay.ks, losses.soft_ce(logits[lay.ks], targets, _pick(raw, lay.ks))))
+        raw = tuple(part[lay.ks] for part in raw)
+        terms.append(("ks", lay.ks, losses.soft_ce(logits[lay.ks], targets, raw)))
     return terms
 
 
@@ -350,18 +319,16 @@ def _check_finite(terms, num_runs: int, epoch: int, batch: int) -> None:
     raise NumericError(f"non-finite {LOSS_NAMES[which]} loss at epoch {epoch}, batch {batch}", run=int(run))
 
 
-def _logit_gradients(terms, shape, aux):
+def _logit_gradients(terms, aux):
     """The task logit-gradients [S, B, C]; with auxiliary runs, the stack
     [S, 2, B, C] of task and auxiliary ones (zero rows for runs without)."""
-    if aux is None and isinstance(terms[0][1], slice):  # one task loss for every run
-        return terms[0][2].dlogits
-    stack = np.zeros(shape if aux is None else (*shape[:-2], 2, *shape[-2:]))
-    task = stack if aux is None else stack[..., 0, :, :]
-    for name, runs, out in terms:
-        if name == "ltr":
-            task[runs] = out.dlogits
-        else:
-            _add(stack[..., 1, :, :], runs, out.dlogits)
+    task = terms[0][2].dlogits
+    if aux is None:
+        return task
+    stack = np.zeros((*task.shape[:-2], 2, *task.shape[-2:]))
+    stack[..., 0, :, :] = task
+    for _, runs, out in terms[1:]:
+        _add(stack[..., 1, :, :], runs, out.dlogits)
     return stack
 
 
@@ -373,15 +340,14 @@ def train_epoch(
     """One shuffled pass of every run of the group, in lockstep: each step
     makes one stacked forward, one loss assembly, one backward, one
     conflict_stats and one sgd_step for all runs. It builds only the memory
-    something reads: the prediction cache with KR or the MSE ablation, the
+    something reads: the prediction cache with review (KR or MSE), the
     class medians and soft labels every epoch with KS and otherwise only in
     the final epoch (whose similarity matrix the run directory holds). The
     metrics, one per run, carry the losses and conflict rates; run_set adds
     the accuracies. `on_step` gets each run's gradients after every step."""
-    lay, cfgs = state.layout, state.cfgs
-    num_runs, n = len(cfgs), dataset.num_samples
-    batch_size, epochs = cfgs[0].batch_size, cfgs[0].epochs
-    lr = _per_run([cfg.lr * (1.0 - state.epoch / cfg.epochs) for cfg in cfgs])
+    lay, cfg = state.layout, state.cfgs[0]
+    num_runs, n = len(state.cfgs), dataset.num_samples
+    lr = cfg.lr * (1.0 - state.epoch / cfg.epochs)
     orders = np.stack([rng.permutation(n) for rng in state.shuffle_rngs])
     # a one-run group drops the run axis: it steps on the plain model's
     # arrays, so a single run pays no stacked-array overhead
@@ -390,19 +356,19 @@ def train_epoch(
     if not stacked:
         params, velocity, orders = params.run(0), velocity[0], orders[0]
     aux = lay.aux if state.epoch > 0 else None
-    last = state.epoch == epochs - 1
-    if lay.cache is not None and state.cache is None:
+    last = state.epoch == cfg.epochs - 1
+    if lay.review is not None and state.cache is None:
         # one buffer: a row is read (review) before the same step rewrites it
-        state.cache = reflect.empty_cache(_size(lay.cache, num_runs) * n, dataset.num_classes)
-    writes_cache = lay.cache is not None and not last  # no epoch reads the last one's
-    if lay.kr is not None and state.epoch > 0:
-        reflect.temper(state.cache, lay.kr_cache_tau, lay.kr_cache)
+        state.cache = reflect.empty_cache(_size(lay.review, num_runs) * n, dataset.num_classes)
+    writes_cache = lay.review is not None and not last  # no epoch reads the last one's
+    if lay.review is not None and not cfg.use_mse_ablation and state.epoch > 0:
+        reflect.temper(state.cache, cfg.tau)
     medians = slice(None) if last else lay.ks
     store = store_rows = None
     if medians is not None:
         held = _size(medians, num_runs)
         store = reflect.FeatureStore(held * n, state.params.layers[-1][0].shape[-1])
-        store_rows = _offsets(np.arange(held), n)
+        store_rows = _offsets(held, n)
     has_aux = np.zeros(num_runs, dtype=bool)
     if aux is not None:
         has_aux[aux] = True
@@ -415,11 +381,11 @@ def train_epoch(
     conflict_sums = np.zeros(num_runs)
     batches = aux_batches = 0
 
-    for start in range(0, n, batch_size):
-        idx = orders[..., start : start + batch_size]
-        if lay.augmented:
+    for start in range(0, n, cfg.batch_size):
+        idx = orders[..., start : start + cfg.batch_size]
+        if cfg.sigma_aug > 0:
             xs = [data.augment(dataset.features[i], cfg.sigma_aug, rng)
-                  for i, cfg, rng in zip(_by_run(idx, stacked), cfgs, state.augment_rngs)]
+                  for i, rng in zip(_by_run(idx, stacked), state.augment_rngs)]
             x = np.stack(xs) if stacked else xs[0]
         else:
             x = data.augment(dataset.features[idx], 0.0, None)
@@ -436,7 +402,7 @@ def train_epoch(
         if not finite:
             _check_finite(terms, num_runs, state.epoch, batches)
 
-        grads = nn.backward(params, rec, _logit_gradients(terms, rec.logits.shape, aux))
+        grads = nn.backward(params, rec, _logit_gradients(terms, aux))
         if aux is None:
             g_ltr = g_update = grads
             g_aux = None
@@ -456,10 +422,10 @@ def train_epoch(
                 if conflicted:
                     run_update[s] = projected
 
-        nn.sgd_step(params, g_update, lr, lay.momentum, velocity)
+        nn.sgd_step(params, g_update, lr, cfg.momentum, velocity)
         if writes_cache:
             reflect.cache_update(
-                state.cache, _rows(idx, lay.cache, lay.cache_rows), rec.logits[lay.cache], y[lay.cache]
+                state.cache, _rows(idx, lay.review, lay.review_rows), rec.logits[lay.review], y[lay.review]
             )
         if store is not None:
             store.add(_rows(idx, medians, store_rows), rec.features[medians])
@@ -478,8 +444,8 @@ def train_epoch(
         # raise the group's peak memory by more than the medians save in calls
         for s, features in zip(held, store.features.reshape(len(held), n, -1)):
             centers = reflect.class_centers_median(features, dataset.labels, dataset.num_classes)
-            state.soft_labels[s] = reflect.build_soft_labels(centers, cfgs[s].alpha)
-        if lay.ks is not None:
+            state.soft_labels[s] = reflect.build_soft_labels(centers, cfg.alpha)
+        if lay.ks is not None and not last:  # the next epoch's KS targets
             state.y_hat = np.concatenate(
                 [state.soft_labels[s].y_hat for s in np.arange(num_runs)[lay.ks]]
             )
@@ -546,14 +512,15 @@ GROUP_BYTES = 32 * 2**20
 
 
 def lockstep_groups(cfgs, train: data.Dataset, test: data.Dataset) -> list[list[int]]:
-    """Positions of `cfgs` by lockstep group: runs of one epochs, batch size
-    and hidden width, in first-appearance order, split to fit GROUP_BYTES."""
-    by_shape: dict[tuple, list[int]] = {}
+    """Positions of `cfgs` by lockstep group: runs of one `group_key`, in
+    first-appearance order, split to fit GROUP_BYTES."""
+    by_key: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(cfgs):
-        by_shape.setdefault((cfg.epochs, cfg.batch_size, cfg.hidden_dim), []).append(i)
+        by_key.setdefault(group_key(cfg), []).append(i)
     n, c = train.num_samples, train.num_classes
     groups = []
-    for (_, _, hidden), members in by_shape.items():
+    for members in by_key.values():
+        hidden = cfgs[members[0]].hidden_dim
         per_run = 8 * (2 * n * c + n * (hidden or train.dim) + test.num_samples * c)
         size = max(1, GROUP_BYTES // per_run)
         groups += [members[i : i + size] for i in range(0, len(members), size)]
@@ -591,6 +558,10 @@ def run_set(runs, dataset_path, test_path=None) -> list[dict]:
     reproduces it. A group that diverges writes none of its directories."""
     if not runs:
         raise ParameterError("a run set needs at least one run")
+    dirs = [Path(out_dir).resolve() for _, out_dir in runs]
+    if len(set(dirs)) != len(dirs):
+        twice = next(runs[i][1] for i, d in enumerate(dirs) if d in dirs[:i])
+        raise ParameterError(f"run directory {twice} appears twice in one run set")
     train_path = Path(dataset_path)
     if not train_path.exists():
         raise FileNotFoundError(f"dataset file not found: {train_path}")

@@ -100,7 +100,7 @@ def test_a_stack_steps_each_model_as_it_steps_alone(seed, hidden, batch):
     g = rng.normal(size=(3, 2, batch, 20))
     rec = nn.forward(stack, x)
     grads = nn.backward(stack, rec, g)
-    lr, momentum = np.array([[0.1], [0.05], [0.2]]), np.array([[0.9], [0.0], [0.5]])
+    lr, momentum = 0.1, 0.9
     velocity = rng.normal(size=stack.flat.shape)
     alone_velocity = velocity.copy()
     nn.sgd_step(stack, grads[:, 0], lr, momentum, velocity)
@@ -108,7 +108,7 @@ def test_a_stack_steps_each_model_as_it_steps_alone(seed, hidden, batch):
         one = nn.forward(model, x[s])
         assert rec.logits[s].tobytes() == one.logits.tobytes()
         assert grads[s].tobytes() == nn.backward(model, one, g[s]).tobytes()
-        nn.sgd_step(model, grads[s, 0], lr[s, 0], momentum[s, 0], alone_velocity[s])
+        nn.sgd_step(model, grads[s, 0], lr, momentum, alone_velocity[s])
         assert stack.run(s).flat.tobytes() == model.flat.tobytes()
         assert velocity[s].tobytes() == alone_velocity[s].tobytes()
 

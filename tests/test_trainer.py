@@ -197,24 +197,28 @@ def test_train_epoch_matches_the_serial_oracle_bitwise(kw):
 
 
 def test_run_set_matches_the_serial_oracle_per_run(tmp_path, monkeypatch):
-    """One heterogeneous set, split into lockstep groups by epochs and hidden
-    width: every run ends where the serial oracle ends, bit for bit."""
+    """One heterogeneous set, split into lockstep groups by everything but
+    the components and seed, each variant beside a sibling that differs in
+    those: every run ends where the serial oracle ends, bit for bit."""
     train, test, split = stock_sets()
     train_path = tmp_path / "stock.ltds"
     data.save_dataset(train, train_path)
     data.save_dataset(test, trainer.default_test_path(train_path))
-    base = dict(alpha=0.95, epochs=3)
+    base = trainer.TrainConfig(alpha=0.95, epochs=3)
+    bsce = replace(base, ltr_loss="bsce")
+    mse = replace(base, use_mse_ablation=True, lr=0.01)
+    aug = replace(base, sigma_aug=0.3)
+    tuned = replace(base, alpha=0.8, lr=0.03, tau=3.0, momentum=0.5)
+    linear = replace(base, hidden_dim=0)
+    short = replace(base, epochs=2)
     cfgs = [
-        trainer.TrainConfig(**base),
-        trainer.TrainConfig(**base, ltr_loss="bsce"),
-        trainer.TrainConfig(**base, **FULL_STACK),
-        trainer.TrainConfig(**base, use_mse_ablation=True, use_ks=True, use_kc=True, lr=0.01),
-        trainer.TrainConfig(**base, **FULL_STACK, sigma_aug=0.3),
-        trainer.TrainConfig(**dict(base, alpha=0.8), **FULL_STACK, lr=0.03, tau=3.0,
-                            momentum=0.5, seed=5),
-        trainer.TrainConfig(**base, use_kr=True, lr=0.07, tau=1.5, momentum=0.8, seed=2),
-        trainer.TrainConfig(**base, hidden_dim=0, use_kr=True, use_kc=True),
-        trainer.TrainConfig(**dict(base, epochs=2), **FULL_STACK),
+        base, replace(base, **FULL_STACK), replace(base, use_kr=True, seed=2),
+        bsce, replace(bsce, **FULL_STACK, seed=1),
+        replace(mse, use_ks=True, use_kc=True), replace(mse, seed=4),
+        replace(aug, **FULL_STACK), replace(aug, seed=1),
+        replace(tuned, **FULL_STACK, seed=5), replace(tuned, use_kr=True, seed=6),
+        replace(linear, use_kr=True, use_kc=True), replace(linear, use_kc=True, seed=1),
+        replace(short, **FULL_STACK), replace(short, use_ks=True, seed=3),
     ]
     groups = []
     train_group = trainer.train_group
@@ -226,7 +230,7 @@ def test_run_set_matches_the_serial_oracle_per_run(tmp_path, monkeypatch):
 
     monkeypatch.setattr(trainer, "train_group", recording_group)
     trainer.run_set([(cfg, tmp_path / str(i)) for i, cfg in enumerate(cfgs)], train_path)
-    assert sorted(len(group_cfgs) for group_cfgs, _ in groups) == [1, 1, 7]
+    assert [len(group_cfgs) for group_cfgs, _ in groups] == [3, 2, 2, 2, 2, 2, 2]
     for group_cfgs, (state, histories, _) in groups:
         for s, cfg in enumerate(group_cfgs):
             params, velocity, history, soft_labels = serial_run(cfg, train, test, split)
@@ -286,16 +290,48 @@ def test_a_diverging_run_aborts_its_group_unwritten(tmp_path):
     the message names the run's directory, and no run of the group is
     written."""
     train_path = write_tiny_pair(tmp_path)
-    diverging = tiny_cfg(use_mse_ablation=True, lr=1e30, epochs=4)
+    ok = tiny_cfg(epochs=4, tau=1e300)  # tau reaches no loss without review
+    diverging = replace(ok, use_kr=True)
+    assert trainer.group_key(ok) == trainer.group_key(diverging)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError) as alone:
             trainer.run_experiment(diverging, train_path, tmp_path / "alone")
-        runs = [(tiny_cfg(epochs=4), tmp_path / "ok"), (diverging, tmp_path / "bad")]
+        runs = [(ok, tmp_path / "ok"), (diverging, tmp_path / "bad")]
         with pytest.raises(NumericError) as in_set:
             trainer.run_set(runs, train_path)
     assert re.fullmatch(r"non-finite (ltr|kr|ks) loss at epoch \d+, batch \d+", str(alone.value))
     assert str(in_set.value) == f"{alone.value} in run {tmp_path / 'bad'}"
     assert not any(path.exists() for path in (tmp_path / "alone", tmp_path / "ok", tmp_path / "bad"))
+    trainer.run_experiment(ok, train_path, tmp_path / "ok")  # the plain run trains alone
+
+
+def test_runs_share_a_group_exactly_when_they_differ_only_in_components_and_seed():
+    train, test, _ = tiny_sets()
+    base = trainer.TrainConfig()
+    # another valid value of every field: (v + 1) / 2 keeps each float field in range
+    other = {str: lambda v: next(loss for loss in trainer.LTR_LOSSES if loss != v),
+             bool: lambda v: not v, int: lambda v: v + 1, float: lambda v: (v + 1.0) / 2.0}
+    for _, name, kind, _ in trainer.TRAIN_FLAGS:
+        pair = [base, replace(base, **{name: other[kind](getattr(base, name))})]
+        assert pair[0] != pair[1], name
+        if name in ("use_kr", "use_ks", "use_kc", "seed"):
+            assert trainer.lockstep_groups(pair, train, test) == [[0, 1]], name
+            assert trainer.init_state(pair, train).cfgs == pair
+        else:
+            assert trainer.lockstep_groups(pair, train, test) == [[0], [1]], name
+            with pytest.raises(ParameterError):
+                trainer.init_state(pair, train)
+
+
+def test_run_set_rejects_a_repeated_run_directory(tmp_path, monkeypatch):
+    """Two runs writing one directory would leave only the second's files."""
+    train_path = write_tiny_pair(tmp_path)
+    calls = recording(monkeypatch, data, "load_dataset")
+    runs = [(tiny_cfg(), tmp_path / "run"), (tiny_cfg(seed=4), tmp_path / "other" / ".." / "run")]
+    with pytest.raises(ParameterError, match="appears twice"):
+        trainer.run_set(runs, train_path)
+    assert calls == []
+    assert not (tmp_path / "run").exists()
 
 
 def test_a_set_split_by_the_memory_budget_writes_the_same_files(tmp_path, monkeypatch):
