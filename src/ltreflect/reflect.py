@@ -12,6 +12,7 @@ import numpy as np
 from . import artifacts
 from .errors import DimensionError, ParameterError, StateError
 from .losses import LossOutput, kl_distill, kl_to_targets, mse_logits, tempered_log_probs
+from .losses import _as_logits, _log_softmax
 
 _ZERO_NORM = 1e-12
 
@@ -176,14 +177,36 @@ def build_soft_labels(centers: np.ndarray, alpha: float) -> SoftLabels:
 
 
 def per_class_adjacent_kl(prev_logits, cur_logits, labels, num_classes: int) -> np.ndarray:
-    """Mean KL(prev || cur) per ground-truth class. Every class has a row:
-    a `data.Dataset` invariant."""
-    prev = np.asarray(prev_logits, dtype=np.float64)
-    cur = np.asarray(cur_logits, dtype=np.float64)
+    """Mean KL(prev || cur) per ground-truth class: bit for bit
+    kl_distill(prev[labels == c], cur[labels == c]).value, taken in one pass
+    over all rows. Every step of a row's KL is row-wise, so its bits do not
+    depend on the rows beside it, and a class's mean is the `.sum()` of its
+    rows' values in their order over its row count (np.add.reduceat or
+    np.bincount weights would sum them differently). Every class needs a
+    row: a `data.Dataset` invariant."""
+    prev = _as_logits(prev_logits)
+    cur = _as_logits(cur_logits)
     lab = np.asarray(labels)
     if prev.shape != cur.shape:
         raise DimensionError(f"logit shapes differ: {prev.shape} vs {cur.shape}")
-    return np.array([kl_distill(prev[lab == c], cur[lab == c]).value for c in range(num_classes)])
+    if lab.shape != prev.shape[:1]:
+        raise DimensionError(f"labels shape {lab.shape} must match {prev.shape[0]} logit rows")
+    if lab.size and (lab.min() < 0 or lab.max() >= num_classes):
+        raise ParameterError(
+            f"labels must lie in [0, {num_classes}), got range [{lab.min()}, {lab.max()}]"
+        )
+    counts = np.bincount(lab, minlength=num_classes)
+    if not counts.all():
+        raise ParameterError(f"class {np.argmin(counts)} has no row")
+    logp_prev, logp_cur = _log_softmax(prev), _log_softmax(cur)
+    kl = np.exp(logp_prev)  # p_prev
+    # 0 * log 0 := 0 (p_prev underflows to 0 before logp_prev hits -inf)
+    dead = ~(kl > 0)
+    logp_prev -= logp_cur
+    kl *= logp_prev
+    kl[dead] = 0.0
+    per_row = kl.sum(axis=1)
+    return np.array([per_row[lab == c].sum() / n for c, n in enumerate(counts.tolist())])
 
 
 def write_matrix_csv(path, matrix) -> None:

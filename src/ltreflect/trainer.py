@@ -145,6 +145,10 @@ class EpochMetrics:
 #   compacted rows: `np.add.reduceat` segments and zero-padded
 #   `np.where(mask, x, 0).sum()` differ from `.sum()` in about 60% of random
 #   cases, so `losses._batch_means` sums each run's rows on their own.
+# - Likewise a per-class mean is the `.sum()` of the class's rows in their
+#   order, never `np.add.reduceat` or `np.bincount(weights=...)`: so
+#   `reflect.per_class_adjacent_kl` takes every test row's KL in one pass
+#   and each class's mean equals `kl_distill` on that class's rows alone.
 # - Writing through `.reshape(-1, C)` of a strided `g[:, 0]` view silently
 #   writes to a copy: the losses write only into arrays they allocated.
 

@@ -58,15 +58,15 @@ def serial_run(cfg, train, test, split):
     right, soft CE with its own log-softmax, and one backward pass per
     gradient. The class medians are taken every epoch, over each class's
     rows gathered in arrival order. Returns (params, velocity, per-epoch
-    EpochMetrics, last soft labels); train_epoch must match all of it bit
-    for bit."""
+    EpochMetrics, last soft labels, (epoch, per-class KL) rows from epoch 1
+    on by `per_class_kl`); the trainer must match all of it bit for bit."""
     init_rng, shuffle_rng, augment_rng = trainer.rng_streams(cfg.seed)
     params = nn.init_params(train.dim, train.num_classes, cfg.hidden_dim, init_rng)
     velocity = np.zeros(params.num_params)
     spans = params.layer_spans()
     starts = np.array([start for _, start, _ in spans])
-    cache = soft_labels = None
-    history = []
+    cache = soft_labels = prev_logits = None
+    history, kl_rows = [], []
     for epoch in range(cfg.epochs):
         lr = cfg.lr * (1.0 - epoch / cfg.epochs)
         order = shuffle_rng.permutation(train.num_samples)
@@ -122,7 +122,10 @@ def serial_run(cfg, train, test, split):
         cache = next_cache
         centers = np.array([np.median(rows, axis=0) for rows in rows_by_class])
         soft_labels = reflect.build_soft_labels(centers, cfg.alpha)
-        accs, _ = trainer.evaluate(params, test, split)
+        accs, logits = trainer.evaluate(params, test, split)
+        if prev_logits is not None:
+            kl_rows.append((epoch, per_class_kl(prev_logits, logits, test.labels, test.num_classes)))
+        prev_logits = logits
         history.append(
             trainer.EpochMetrics(
                 epoch=epoch,
@@ -138,7 +141,16 @@ def serial_run(cfg, train, test, split):
                 **accs,
             )
         )
-    return params, velocity, history, soft_labels
+    return params, velocity, history, soft_labels, kl_rows
+
+
+def per_class_kl(prev_logits, cur_logits, labels, num_classes):
+    """The per-class adjacent-epoch KL as one `kl_distill` call on each
+    class's rows."""
+    return np.array(
+        [losses.kl_distill(prev_logits[labels == c], cur_logits[labels == c]).value
+         for c in range(num_classes)]
+    )
 
 
 def fd_grad_logits(loss_value_fn, logits, step: float = 1e-5) -> np.ndarray:

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltreflect import losses, nn, reflect
-from ltreflect.errors import ParameterError, StateError
+from ltreflect.errors import DimensionError, ParameterError, StateError
+
+from oracles import per_class_kl
 
 
 # --- cache + correctness filter -------------------------------------------------
@@ -272,6 +274,46 @@ def test_per_class_kl_is_order_free():
     perm = rng.permutation(8)
     again = reflect.per_class_adjacent_kl(prev[perm], cur[perm], labels[perm], num_classes=2)
     assert np.allclose(base, again, atol=1e-12)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 100),
+    st.integers(1, 300),
+    st.sampled_from([1e-3, 1.0, 30.0, 1e3]),
+)
+@settings(derandomize=True, deadline=None)
+def test_per_class_kl_one_pass_equals_kl_distill_per_class_bitwise(seed, num_classes, big, scale):
+    """Shuffled labels, unequal class counts (1-row classes, and one class
+    long enough for numpy's blocked pairwise sum), and logit scales up to
+    1e3, where some prev probabilities underflow to exactly 0."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, 9, size=num_classes)
+    counts[rng.integers(num_classes)] = big
+    labels = rng.permutation(np.repeat(np.arange(num_classes), counts))
+    prev = rng.normal(size=(labels.size, num_classes)) * scale
+    cur = rng.normal(size=prev.shape) * scale
+    inputs = [arr.copy() for arr in (prev, cur, labels)]
+    out = reflect.per_class_adjacent_kl(prev, cur, labels, num_classes)
+    assert out.tobytes() == per_class_kl(prev, cur, labels, num_classes).tobytes()
+    assert [arr.tobytes() for arr in (prev, cur, labels)] == [arr.tobytes() for arr in inputs]
+
+
+@pytest.mark.parametrize(
+    "labels, error",
+    [
+        ([0, 1, 2], ParameterError),  # a label >= num_classes
+        ([0, 1, -1], ParameterError),
+        ([0, 0, 0], ParameterError),  # class 1 has no row
+        ([0, 1], DimensionError),
+        ([[0, 1, 1]], DimensionError),
+    ],
+    ids=["too-large", "negative", "empty-class", "short", "2-d"],
+)
+def test_per_class_kl_rejects_bad_labels(labels, error):
+    logits = np.zeros((3, 2))
+    with pytest.raises(error):
+        reflect.per_class_adjacent_kl(logits, logits, np.array(labels), num_classes=2)
 
 
 # --- CSV dumps -------------------------------------------------------------------------

@@ -185,7 +185,7 @@ FULL_STACK = dict(use_kr=True, use_ks=True, use_kc=True)
 def test_train_epoch_matches_the_serial_oracle_bitwise(kw):
     train, test, split = stock_sets()
     cfg = trainer.TrainConfig(alpha=0.95, epochs=3, **kw)
-    params, velocity, history, soft_labels = serial_run(cfg, train, test, split)
+    params, velocity, history, soft_labels, _ = serial_run(cfg, train, test, split)
     state = trainer.init_state([cfg], train)
     for expected in history:
         state, (metrics,) = trainer.train_epoch(state, train)
@@ -199,7 +199,8 @@ def test_train_epoch_matches_the_serial_oracle_bitwise(kw):
 def test_run_set_matches_the_serial_oracle_per_run(tmp_path, monkeypatch):
     """One heterogeneous set, split into lockstep groups by everything but
     the components and seed, each variant beside a sibling that differs in
-    those: every run ends where the serial oracle ends, bit for bit."""
+    those: every run ends where the serial oracle ends, bit for bit, and its
+    class_kl.csv rows equal the oracle's one kl_distill call per class."""
     train, test, split = stock_sets()
     train_path = tmp_path / "stock.ltds"
     data.save_dataset(train, train_path)
@@ -231,15 +232,18 @@ def test_run_set_matches_the_serial_oracle_per_run(tmp_path, monkeypatch):
     monkeypatch.setattr(trainer, "train_group", recording_group)
     trainer.run_set([(cfg, tmp_path / str(i)) for i, cfg in enumerate(cfgs)], train_path)
     assert [len(group_cfgs) for group_cfgs, _ in groups] == [3, 2, 2, 2, 2, 2, 2]
-    for group_cfgs, (state, histories, _) in groups:
+    for group_cfgs, (state, histories, kl_rows) in groups:
         for s, cfg in enumerate(group_cfgs):
-            params, velocity, history, soft_labels = serial_run(cfg, train, test, split)
+            params, velocity, history, soft_labels, kl_expected = serial_run(cfg, train, test, split)
             # repr tells -0.0 and nan apart
             assert [repr(asdict(m)) for m in histories[s]] == [repr(asdict(m)) for m in history]
             assert state.params.flat[s].tobytes() == params.flat.tobytes(), cfg
             assert state.velocity[s].tobytes() == velocity.tobytes(), cfg
             assert state.soft_labels[s].M.tobytes() == soft_labels.M.tobytes(), cfg
             assert state.soft_labels[s].y_hat.tobytes() == soft_labels.y_hat.tobytes(), cfg
+            assert [(e, repr(kl.tolist()), kl.tobytes()) for e, kl in kl_rows[s]] == [
+                (e, repr(kl.tolist()), kl.tobytes()) for e, kl in kl_expected
+            ], cfg
 
 
 def test_a_set_makes_one_backward_per_lockstep_step(monkeypatch):
