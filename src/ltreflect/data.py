@@ -152,10 +152,16 @@ def synth_gaussians(
         default_noise if noise_seed is None else noise_seed
     )
     labels = np.repeat(np.arange(num_classes), counts)
-    feats = centers[labels].copy()
-    if noise_sigma > 0:
-        feats += noise_rng.normal(scale=noise_sigma, size=(labels.size, dim))
-    return Dataset(features=feats.astype(np.float32), labels=labels, class_counts=counts)
+    with np.errstate(over="ignore"):  # the float32 values are checked below
+        feats = centers[labels]
+        if noise_sigma > 0:
+            feats += noise_rng.normal(scale=noise_sigma, size=(labels.size, dim))
+        feats = feats.astype(np.float32)
+    if not np.isfinite(feats).all():
+        raise ParameterError(
+            f"class_sep {class_sep} and noise_sigma {noise_sigma} give features beyond float32"
+        )
+    return Dataset(features=feats, labels=labels, class_counts=counts)
 
 
 def augment(batch, sigma_aug: float, seed) -> np.ndarray:
@@ -206,6 +212,10 @@ def load_dataset(path) -> Dataset:
     if len(blob) > end:
         raise FormatError("trailing bytes after payload", end)
     feats = np.frombuffer(blob, dtype="<f4", count=n * d, offset=feat_off).reshape(n, d)
+    finite = np.isfinite(feats)
+    if not finite.all():
+        bad = int(np.argmin(finite))  # the first non-finite value, row-major
+        raise FormatError(f"feature {bad % d} of row {bad // d} is not finite", feat_off + 4 * bad)
     labels = np.frombuffer(blob, dtype="<u4", count=n, offset=label_off).astype(np.int64)
     counts = np.frombuffer(blob, dtype="<u4", count=c, offset=count_off).astype(np.int64)
     if counts.sum() != n:

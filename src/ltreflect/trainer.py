@@ -6,6 +6,9 @@ memory refresh, evaluation buckets, and what a run directory holds
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 import shlex
 from dataclasses import asdict, astuple, dataclass, field, replace
@@ -553,13 +556,63 @@ def train_group(cfgs, train: data.Dataset, test: data.Dataset, split):
     return state, histories, kl_rows
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the loaded OpenBLAS's thread count, found once per
+    process in /proc/self/maps; None for a numpy on another BLAS, or
+    without /proc."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (
+            ("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "64_"), ("openblas", "")
+        ):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Runs the block with OpenBLAS at one thread, then restores the
+    caller's count on every exit. The thread count decides how a matmul
+    splits its sums, so a pinned run writes the same bits on any machine;
+    on a run's small matmuls a second thread mostly spins. Without an
+    OpenBLAS setter the block runs unpinned."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+@_one_blas_thread()
 def run_set(runs, dataset_path, test_path=None) -> list[dict]:
     """Trains every `(cfg, out_dir)` of `runs` on one train/test pair, loaded
     and checked once, in lockstep groups (`lockstep_groups`); returns the
     summary records in run order. Each run's files equal the ones it writes
     alone, byte for byte: metrics.csv, conflicts.csv, class_kl.csv,
     similarity.csv, summary.json and config.echo, the `train` flag line that
-    reproduces it. A group that diverges writes none of its directories."""
+    reproduces it at any BLAS thread count: the set runs with OpenBLAS at
+    one thread (`_one_blas_thread`). A group that diverges writes none of
+    its directories."""
     if not runs:
         raise ParameterError("a run set needs at least one run")
     dirs = [Path(out_dir).resolve() for _, out_dir in runs]

@@ -343,6 +343,33 @@ def test_synth_non_finite_geometry_is_usage_error(tmp_path, capsys, flags):
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("flag", ["--noise", "--class-sep"])
+def test_synth_features_beyond_float32_are_a_usage_error(tmp_path, capsys, flag):
+    """1e308 is finite as a flag, but not as a float32 feature: synth
+    refuses before it writes anything, and without a numpy warning."""
+    out = tmp_path / "d" / "x.ltds"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["synth", flag, "1e308", "--pairs", "0", "--seed", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error: ") and "beyond float32" in err[0]
+    assert not out.parent.exists()
+
+
+def test_train_on_a_non_finite_feature_file_is_runtime_error(tmp_path, capsys):
+    path = synth_tiny(tmp_path)
+    blob = bytearray(path.read_bytes())
+    blob[20:24] = np.array(np.inf, dtype="<f4").tobytes()  # row 0, feature 0
+    path.write_bytes(blob)
+    capsys.readouterr()
+    assert run(shlex.split(TRAIN.format(data=path, out=tmp_path / "o"))) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: feature 0 of row 0 is not finite (byte offset 20)"]
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("flag", ["--n-max", "--test-size"])
 def test_synth_size_beyond_the_file_header_is_usage_error(tmp_path, capsys, flag):
     out = tmp_path / "d" / "x.ltds"

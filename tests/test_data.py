@@ -96,6 +96,14 @@ def test_synth_rejects_tiny_dim():
         data.synth_gaussians(3, 1, np.full(3, 5))
 
 
+@pytest.mark.parametrize("geometry", [{"class_sep": 1e308}, {"noise_sigma": 1e308}, {"noise_sigma": 1e39}])
+def test_synth_rejects_features_beyond_float32(geometry):
+    """Geometry whose float32 features would overflow is an argument error,
+    raised without a numpy overflow warning (pytest makes one a failure)."""
+    with pytest.raises(ParameterError, match="beyond float32"):
+        data.synth_gaussians(3, 4, np.full(3, 5), **geometry)
+
+
 # --- class splits ----------------------------------------------------------------
 
 
@@ -227,6 +235,22 @@ def test_load_rejects_zero_count_class(tmp_path):
     assert "class 2 has count 0" in str(err.value)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_rejects_a_non_finite_feature_at_its_offset(tmp_path, value):
+    ds = make_dataset()
+    path = tmp_path / "ds.ltds"
+    data.save_dataset(ds, path)
+    blob = bytearray(path.read_bytes())
+    row, col = 7, 3
+    offset = 20 + 4 * (row * ds.dim + col)
+    blob[offset : offset + 4] = np.array(value, dtype="<f4").tobytes()
+    blob[offset + 8 : offset + 12] = np.array(np.nan, dtype="<f4").tobytes()  # a later one
+    path.write_bytes(blob)
+    with pytest.raises(FormatError, match=f"feature {col} of row {row} is not finite") as err:
+        data.load_dataset(path)
+    assert err.value.offset == offset
+
+
 def ltds_blob(n, d, counts):
     """A file whose header and payload sizes agree: zero features, labels by count."""
     labels = np.repeat(np.arange(len(counts)), counts)
@@ -284,6 +308,7 @@ def test_load_fuzzed_bytes_loads_or_raises_format_error(tmp_path_factory, edits,
         return
     assert (ds.class_counts > 0).all()
     assert ds.class_counts.sum() == ds.num_samples
+    assert np.isfinite(ds.features).all()
 
 
 def test_dataset_invariants_rejected_in_memory():

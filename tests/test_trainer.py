@@ -1,8 +1,11 @@
 import json
 import math
+import os
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -551,3 +554,95 @@ def test_runs_of_a_set_share_no_state(tmp_path):
         for name in ("metrics.csv", "conflicts.csv", "class_kl.csv", "similarity.csv"):
             alone = (tmp_path / "alone" / str(i) / name).read_bytes()
             assert (tmp_path / "set" / str(i) / name).read_bytes() == alone, (i, name)
+
+
+# --- the run's BLAS thread count ---------------------------------------------------
+
+needs_openblas = pytest.mark.skipif(
+    trainer._openblas_threads() is None,
+    reason="this numpy has no OpenBLAS thread setter, so its runs go unpinned",
+)
+
+
+@pytest.fixture
+def blas_threads():
+    """The loaded OpenBLAS's (get, set), with the count set to 2 for the
+    test and the process's own count restored after it."""
+    get, put = trainer._openblas_threads()
+    before = get()
+    put(2)
+    yield get, put
+    put(before)
+
+
+@needs_openblas
+def test_run_set_trains_at_one_blas_thread_and_restores_the_callers_count(
+    tmp_path, monkeypatch, blas_threads
+):
+    get, _ = blas_threads
+    train_path = write_tiny_pair(tmp_path)
+    seen = []
+    evaluate = trainer.evaluate
+
+    def counting_evaluate(*args):
+        seen.append(get())
+        return evaluate(*args)
+
+    monkeypatch.setattr(trainer, "evaluate", counting_evaluate)
+    trainer.run_set([(tiny_cfg(epochs=2), tmp_path / "a"), (tiny_cfg(seed=4), tmp_path / "b")], train_path)
+    assert seen and set(seen) == {1}
+    assert get() == 2
+
+
+@needs_openblas
+def test_run_set_restores_the_callers_blas_count_when_a_run_diverges(tmp_path, blas_threads):
+    get, _ = blas_threads
+    train_path = write_tiny_pair(tmp_path)
+    diverging = tiny_cfg(epochs=4, tau=1e300, use_kr=True)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+        trainer.run_set([(diverging, tmp_path / "bad")], train_path)
+    assert get() == 2
+
+
+def test_a_run_without_an_openblas_setter_goes_unpinned_and_writes_the_same_files(
+    tmp_path, monkeypatch
+):
+    """The same run with the lookup finding no setter: same relative --out
+    in two directories, every file the same."""
+    train_path = write_tiny_pair(tmp_path)
+    cfg = tiny_cfg(use_kr=True, use_ks=True, use_kc=True, epochs=3)
+    for name in ("pinned", "unpinned"):
+        if name == "unpinned":
+            monkeypatch.setattr(trainer, "_openblas_threads", lambda: None)
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        trainer.run_experiment(cfg, train_path, "run")
+    assert run_files(tmp_path / "unpinned" / "run") == run_files(tmp_path / "pinned" / "run")
+
+
+@needs_openblas
+def test_a_runs_files_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The same `train` in two processes, at 1 and 2 OpenBLAS threads, with
+    the same relative --out in two directories: every file is the same. At
+    2 threads an unpinned run splits `unit @ unit.T` on the [100, 64]
+    features differently, and similarity.csv changes."""
+    train_path = tmp_path / "d" / "x.ltds"
+    synth = "synth --classes 100 --dim 8 --n-max 20 --if 10 --pairs 0 --test-size 2 --seed 3"
+    assert cli.main([*shlex.split(synth), "--out", str(train_path)]) == 0
+    src = Path(trainer.__file__).resolve().parents[1]
+    files = {}
+    for threads in (1, 2):
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "ltreflect.cli", "train", "--data", str(train_path), "--out", "run",
+             "--hidden", "64", "--epochs", "1"],
+            cwd=cwd, env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        files[threads] = run_files(cwd / "run")
+    assert set(files[1]) >= {"metrics.csv", "conflicts.csv", "class_kl.csv", "similarity.csv",
+                             "summary.json", "config.echo"}
+    assert files[1] == files[2]
