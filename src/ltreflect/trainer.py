@@ -133,10 +133,10 @@ class EpochMetrics:
 # together: one stacked forward, loss assembly, backward, conflict_stats and
 # sgd_step serve them all. A component that is off in a run is a zero row
 # (its auxiliary gradient) or left out by an index subset; a subset of every
-# run is `slice(None)`, so it indexes nothing and copies nothing, and a
-# one-run group drops the run axis altogether. Bitwise rules this relies on,
-# each measured on numpy 2.4 with OpenBLAS at 1 and 2 threads, and held end
-# to end by the serial oracle tests (tests/oracles.py::serial_run):
+# run is `slice(None)`, so it indexes nothing and copies nothing. A one-run
+# group is a stack of one, `[1, ...]`, on the same path. Bitwise rules this
+# relies on, each measured on numpy 2.4 with OpenBLAS at 1 and 2 threads,
+# and held end to end by the serial oracle tests (tests/oracles.py::serial_run):
 # - A stacked matmul ([S, B, D] @ [S, D, H], broadcast over a K axis too)
 #   equals the per-slice `@`, bit for bit.
 # - Last-axis row reductions (`.sum(axis=-1)`, `.max(axis=-1)`) and
@@ -268,11 +268,6 @@ def _add(target, runs, value) -> None:
         target[runs] += value
 
 
-def _by_run(a: np.ndarray, stacked: bool) -> np.ndarray:
-    """a indexed by run: a one-run group's array gets its run axis back as a view."""
-    return a if stacked else a[None]
-
-
 def _rows(indices, runs, offsets):
     """The store or cache rows of a batch's indices for the given runs."""
     return indices[runs] if offsets is None else indices[runs] + offsets
@@ -339,6 +334,7 @@ def _logit_gradients(terms, aux):
     return stack
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train_epoch(
     state: TrainerState,
     dataset: data.Dataset,
@@ -351,17 +347,13 @@ def train_epoch(
     class medians and soft labels every epoch with KS and otherwise only in
     the final epoch (whose similarity matrix the run directory holds). The
     metrics, one per run, carry the losses and conflict rates; run_set adds
-    the accuracies. `on_step` gets each run's gradients after every step."""
+    the accuracies. `on_step` gets each run's gradients after every step.
+    Floating-point warnings are off: a non-finite loss (`_check_finite`,
+    which names its run) or gradient (`nn.sgd_step`) raises instead."""
     lay, cfg = state.layout, state.cfgs[0]
     num_runs, n = len(state.cfgs), dataset.num_samples
     lr = cfg.lr * (1.0 - state.epoch / cfg.epochs)
     orders = np.stack([rng.permutation(n) for rng in state.shuffle_rngs])
-    # a one-run group drops the run axis: it steps on the plain model's
-    # arrays, so a single run pays no stacked-array overhead
-    stacked = num_runs > 1
-    params, velocity = state.params, state.velocity
-    if not stacked:
-        params, velocity, orders = params.run(0), velocity[0], orders[0]
     aux = lay.aux if state.epoch > 0 else None
     last = state.epoch == cfg.epochs - 1
     if lay.review is not None and state.cache is None:
@@ -382,34 +374,31 @@ def train_epoch(
     spans = state.params.layer_spans()
     starts = np.array([start for _, start, _ in spans])
     layer_hits = np.zeros((num_runs, len(spans)))
-    # per-run running loss sums as Python floats: a float add is the serial
-    # loop's own, and costs a one-run group nothing
+    # per-run running loss sums as Python floats: a float add is the serial loop's own
     sums = {name: [0.0] * num_runs for name in LOSS_NAMES}
     conflict_sums = np.zeros(num_runs)
     batches = aux_batches = 0
 
     for start in range(0, n, cfg.batch_size):
-        idx = orders[..., start : start + cfg.batch_size]
+        idx = orders[:, start : start + cfg.batch_size]
         if cfg.sigma_aug > 0:
-            xs = [data.augment(dataset.features[i], cfg.sigma_aug, rng)
-                  for i, rng in zip(_by_run(idx, stacked), state.augment_rngs)]
-            x = np.stack(xs) if stacked else xs[0]
+            x = np.stack([data.augment(dataset.features[i], cfg.sigma_aug, rng)
+                          for i, rng in zip(idx, state.augment_rngs)])
         else:
             x = data.augment(dataset.features[idx], 0.0, None)
         y = dataset.labels[idx]
-        rec = nn.forward(params, x)
+        rec = nn.forward(state.params, x)
         terms = assemble_batch_losses(state, rec.logits, idx, y, dataset.class_counts)
         finite = True
         for name, runs, out in terms:
             total = sums[name]
-            values = out.value.tolist() if stacked else (out.value,)
-            for s, value in zip(range(num_runs) if isinstance(runs, slice) else runs, values):
+            for s, value in zip(range(num_runs) if isinstance(runs, slice) else runs, out.value.tolist()):
                 total[s] += value
                 finite &= math.isfinite(value)
         if not finite:
             _check_finite(terms, num_runs, state.epoch, batches)
 
-        grads = nn.backward(params, rec, _logit_gradients(terms, aux))
+        grads = nn.backward(state.params, rec, _logit_gradients(terms, aux))
         if aux is None:
             g_ltr = g_update = grads
             g_aux = None
@@ -422,14 +411,13 @@ def train_epoch(
             g_update = g_ltr + g_aux
             if lay.no_aux is not None:
                 g_update[lay.no_aux] = g_ltr[lay.no_aux]
-            run_grads, run_update = _by_run(grads, stacked), _by_run(g_update, stacked)
             for s in lay.kc:
                 # without a conflict the projection is g_aux + g_ltr: the row holds it
-                projected, conflicted = conflict.project_if_conflict(run_grads[s, 0], run_grads[s, 1])
+                projected, conflicted = conflict.project_if_conflict(grads[s, 0], grads[s, 1])
                 if conflicted:
-                    run_update[s] = projected
+                    g_update[s] = projected
 
-        nn.sgd_step(params, g_update, lr, cfg.momentum, velocity)
+        nn.sgd_step(state.params, g_update, lr, cfg.momentum, state.velocity)
         if writes_cache:
             reflect.cache_update(
                 state.cache, _rows(idx, lay.review, lay.review_rows), rec.logits[lay.review], y[lay.review]
@@ -437,10 +425,9 @@ def train_epoch(
         if store is not None:
             store.add(_rows(idx, medians, store_rows), rec.features[medians])
         if on_step is not None:
-            ltr_rows, update_rows = _by_run(g_ltr, stacked), _by_run(g_update, stacked)
             for s in range(num_runs):
-                on_step({"run": s, "g_ltr": ltr_rows[s], "g_update": update_rows[s],
-                         "g_aux": _by_run(g_aux, stacked)[s] if has_aux[s] else None})
+                on_step({"run": s, "g_ltr": g_ltr[s], "g_update": g_update[s],
+                         "g_aux": g_aux[s] if has_aux[s] else None})
         batches += 1
 
     if last:

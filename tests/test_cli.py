@@ -370,6 +370,29 @@ def test_train_on_a_non_finite_feature_file_is_runtime_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        "--tau 1e308 --kr --ks",  # the review KL overflows
+        "--sigma-aug 1e200",  # the forward pass overflows
+        "--mse-ablation --ks --kc --epochs 20 --seed 2",  # the logit MSE overflows at epoch 1
+    ],
+)
+def test_a_diverging_train_reports_one_error_line_and_no_warning(tmp_path, capsys, flags):
+    """Each run overflows in numpy before its loss goes non-finite; the only
+    report is the trainer's error line, and nothing is written."""
+    path = tmp_path / "stock.ltds"
+    assert run(["synth", "--seed", "7", "--out", str(path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["train", "--data", str(path), "--out", str(out), *flags.split()]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: non-finite ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--n-max", "--test-size"])
 def test_synth_size_beyond_the_file_header_is_usage_error(tmp_path, capsys, flag):
     out = tmp_path / "d" / "x.ltds"

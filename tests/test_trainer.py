@@ -300,12 +300,11 @@ def test_a_diverging_run_aborts_its_group_unwritten(tmp_path):
     ok = tiny_cfg(epochs=4, tau=1e300)  # tau reaches no loss without review
     diverging = replace(ok, use_kr=True)
     assert trainer.group_key(ok) == trainer.group_key(diverging)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericError) as alone:
-            trainer.run_experiment(diverging, train_path, tmp_path / "alone")
-        runs = [(ok, tmp_path / "ok"), (diverging, tmp_path / "bad")]
-        with pytest.raises(NumericError) as in_set:
-            trainer.run_set(runs, train_path)
+    with pytest.raises(NumericError) as alone:
+        trainer.run_experiment(diverging, train_path, tmp_path / "alone")
+    runs = [(ok, tmp_path / "ok"), (diverging, tmp_path / "bad")]
+    with pytest.raises(NumericError) as in_set:
+        trainer.run_set(runs, train_path)
     assert re.fullmatch(r"non-finite (ltr|kr|ks) loss at epoch \d+, batch \d+", str(alone.value))
     assert str(in_set.value) == f"{alone.value} in run {tmp_path / 'bad'}"
     assert not any(path.exists() for path in (tmp_path / "alone", tmp_path / "ok", tmp_path / "bad"))
@@ -351,23 +350,25 @@ def test_a_set_split_by_the_memory_budget_writes_the_same_files(tmp_path, monkey
     trainer.run_set([(cfg, tmp_path / "whole" / str(i)) for i, cfg in enumerate(cfgs)], train_path)
     n, c = train.num_samples, train.num_classes
     per_run = 8 * (2 * n * c + n * cfgs[0].hidden_dim + test.num_samples * c)
-    monkeypatch.setattr(trainer, "GROUP_BYTES", 3 * per_run)
-    trainer.run_set([(cfg, tmp_path / "split" / str(i)) for i, cfg in enumerate(cfgs)], train_path)
-    assert [len(args[0]) for args in groups] == [8, 3, 3, 2]
-    for i in range(len(cfgs)):
-        for name in ("metrics.csv", "conflicts.csv", "class_kl.csv", "similarity.csv"):
-            whole = (tmp_path / "whole" / str(i) / name).read_bytes()
-            assert (tmp_path / "split" / str(i) / name).read_bytes() == whole, (i, name)
+    # a budget of three runs, then of one: each run alone is a stack of one
+    for runs_per_group in (3, 1):
+        monkeypatch.setattr(trainer, "GROUP_BYTES", runs_per_group * per_run)
+        split = tmp_path / f"split{runs_per_group}"
+        trainer.run_set([(cfg, split / str(i)) for i, cfg in enumerate(cfgs)], train_path)
+        for i in range(len(cfgs)):
+            for name in ("metrics.csv", "conflicts.csv", "class_kl.csv", "similarity.csv"):
+                whole = (tmp_path / "whole" / str(i) / name).read_bytes()
+                assert (split / str(i) / name).read_bytes() == whole, (runs_per_group, i, name)
+    assert [len(args[0]) for args in groups] == [8, 3, 3, 2] + [1] * 8
 
 
 def test_non_finite_loss_aborts_with_diagnostic():
     train, test, split = tiny_sets()
     cfg = tiny_cfg(use_mse_ablation=True, lr=1e30, epochs=4)
     state = trainer.init_state([cfg], train)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericError):
-            for _ in range(cfg.epochs):
-                state, _ = trainer.train_epoch(state, train)
+    with pytest.raises(NumericError):
+        for _ in range(cfg.epochs):
+            state, _ = trainer.train_epoch(state, train)
 
 
 # --- conflict correction in the loop ---------------------------------------------------
@@ -599,7 +600,7 @@ def test_run_set_restores_the_callers_blas_count_when_a_run_diverges(tmp_path, b
     get, _ = blas_threads
     train_path = write_tiny_pair(tmp_path)
     diverging = tiny_cfg(epochs=4, tau=1e300, use_kr=True)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+    with pytest.raises(NumericError):
         trainer.run_set([(diverging, tmp_path / "bad")], train_path)
     assert get() == 2
 
