@@ -10,6 +10,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import os
 import shlex
 from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
@@ -590,6 +591,126 @@ def _one_blas_thread():
         put(before)
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on, one lane each; `taskset -c 0`
+    makes it one. One without an affinity API."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def _parts(groups, cpus: int) -> list[tuple[int, list[int]]]:
+    """(group, runs) parts of the lockstep groups, in set order: one per
+    group, then the largest part cut into contiguous halves while there are
+    fewer parts than CPUs. A run's bits do not depend on its group's other
+    runs, and contiguous halves of the ablation grid are its kr0 and kr1
+    cells, which train faster alone than interleaved halves."""
+    parts = list(enumerate(groups))
+    while len(parts) < cpus:
+        k = max(range(len(parts)), key=lambda k: len(parts[k][1]))
+        g, members = parts[k]
+        if len(members) < 2:
+            break
+        h = (len(members) + 1) // 2
+        parts[k : k + 1] = [(g, members[:h]), (g, members[h:])]
+    return parts
+
+
+@_one_blas_thread()
+def _train_part(cfgs, train: data.Dataset, test: data.Dataset, split):
+    """Trains the runs of one part as one lockstep group and returns what
+    their files need: each run's history, per-class KL rows and similarity
+    matrix. Small enough to send back from a worker lane, which pins its own
+    OpenBLAS like the calling process."""
+    state, histories, kl_rows = train_group(cfgs, train, test, split)
+    return histories, kl_rows, [labels.M for labels in state.soft_labels]
+
+
+def _named(exc: NumericError, runs, group) -> NumericError:
+    """A group's divergence, naming its run's directory in a set of more than one."""
+    if len(runs) == 1 or exc.run is None:
+        return exc
+    return NumericError(f"{exc} in run {runs[group[exc.run]][1]}")
+
+
+def _train_named(runs, group, train, test, split):
+    """`_train_part` on the runs at the positions `group`, in this process."""
+    try:
+        return _train_part([runs[i][0] for i in group], train, test, split)
+    except NumericError as exc:
+        raise _named(exc, runs, group) from None
+
+
+def _lane_results(runs, groups, parts, lanes, pool, train, test, split):
+    """Each group's `_train_part` result in set order, its parts trained on
+    `lanes` lanes: part k on lane k % lanes, lane 0 in this process and the
+    others in `pool`. A group with a diverging part raises what one lane
+    raises: an uncut group its own error, a cut one by training again whole
+    here, once the pool is shut down."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    futures = {
+        k: pool.submit(_train_part, [runs[i][0] for i in members], train, test, split)
+        for k, (_, members) in enumerate(parts)
+        if k % lanes
+    }
+    done = {}
+    for k in range(0, len(parts), lanes):
+        try:
+            done[k] = _train_part([runs[i][0] for i in parts[k][1]], train, test, split)
+        except NumericError as exc:
+            done[k] = exc
+            break  # the parts after it belong to later groups
+    for g, group in enumerate(groups):
+        outs = []
+        for k, (part_group, _) in enumerate(parts):
+            if part_group != g:
+                continue
+            try:
+                outs.append(futures[k].result() if k in futures else done[k])
+            except BrokenProcessPool:
+                raise ChildProcessError(
+                    f"a worker process died while training the group of run {runs[group[0]][1]}"
+                ) from None
+            except NumericError as exc:
+                outs.append(exc)
+        failed = next((out for out in outs if isinstance(out, NumericError)), None)
+        if failed is not None:
+            pool.shutdown(cancel_futures=True)
+            if len(outs) == 1:
+                raise _named(failed, runs, group) from None
+            outs = [_train_named(runs, group, train, test, split)]
+        yield tuple(sum(column, []) for column in zip(*outs))  # parts are contiguous, in order
+
+
+@contextlib.contextmanager
+def _trained_groups(runs, groups, train, test, split):
+    """Yields an iterator of each group's `_train_part` result, in set
+    order. With one lane it trains each group when asked, in this process;
+    with more, the groups' parts (`_parts`) train on forked workers too, and
+    every worker is gone when the block exits, also on an error."""
+    cpus = _cpus()
+    parts = _parts(groups, cpus)
+    lanes = min(cpus, len(parts))
+    if lanes > 1:
+        import multiprocessing  # only here: the one-lane path pays no import
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            lanes = 1
+    if lanes == 1:
+        yield (_train_named(runs, group, train, test, split) for group in groups)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork: a worker starts with the program imported and OpenBLAS pinned
+    pool = ProcessPoolExecutor(lanes - 1, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield _lane_results(runs, groups, parts, lanes, pool, train, test, split)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 @_one_blas_thread()
 def run_set(runs, dataset_path, test_path=None) -> list[dict]:
     """Trains every `(cfg, out_dir)` of `runs` on one train/test pair, loaded
@@ -598,8 +719,11 @@ def run_set(runs, dataset_path, test_path=None) -> list[dict]:
     alone, byte for byte: metrics.csv, conflicts.csv, class_kl.csv,
     similarity.csv, summary.json and config.echo, the `train` flag line that
     reproduces it at any BLAS thread count: the set runs with OpenBLAS at
-    one thread (`_one_blas_thread`). A group that diverges writes none of
-    its directories."""
+    one thread (`_one_blas_thread`). The set trains on one lane per usable
+    CPU (`_trained_groups`), and its files do not depend on the lane count.
+    Groups are written in set order, each after all of its runs finished;
+    the first group that diverges, or whose worker dies, writes none of its
+    directories and stops the set."""
     if not runs:
         raise ParameterError("a run set needs at least one run")
     dirs = [Path(out_dir).resolve() for _, out_dir in runs]
@@ -622,40 +746,36 @@ def run_set(runs, dataset_path, test_path=None) -> list[dict]:
     split = data.split_classes(train.class_counts)
 
     summaries = [None] * len(runs)
-    for group in lockstep_groups([cfg for cfg, _ in runs], train, test):
-        try:
-            state, histories, kl_rows = train_group([runs[i][0] for i in group], train, test, split)
-        except NumericError as exc:
-            if len(runs) == 1 or exc.run is None:
-                raise
-            raise NumericError(f"{exc} in run {runs[group[exc.run]][1]}") from None
-        for s, i in enumerate(group):
-            cfg, out_dir = runs[i]
-            out = Path(out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            history = histories[s]
-            conflict_rows = [
-                (m.epoch, name, 1 if rate >= 0.5 else 0, m.conflict_fraction)
-                for m in history
-                for name, rate in m.layer_conflict_rates.items()
-            ]
-            write_metrics_csv(out / "metrics.csv", history)
-            write_conflicts_csv(out / "conflicts.csv", conflict_rows)
-            reflect.write_class_kl_series(out / "class_kl.csv", kl_rows[s])
-            reflect.write_matrix_csv(out / "similarity.csv", state.soft_labels[s].M)
-            echo = train_echo(cfg, dataset_path, out_dir, test_path)
-            (out / "config.echo").write_text(echo + "\n")
+    groups = lockstep_groups([cfg for cfg, _ in runs], train, test)
+    with _trained_groups(runs, groups, train, test, split) as results:
+        for group, (histories, kl_rows, matrices) in zip(groups, results):
+            for s, i in enumerate(group):
+                cfg, out_dir = runs[i]
+                out = Path(out_dir)
+                out.mkdir(parents=True, exist_ok=True)
+                history = histories[s]
+                conflict_rows = [
+                    (m.epoch, name, 1 if rate >= 0.5 else 0, m.conflict_fraction)
+                    for m in history
+                    for name, rate in m.layer_conflict_rates.items()
+                ]
+                write_metrics_csv(out / "metrics.csv", history)
+                write_conflicts_csv(out / "conflicts.csv", conflict_rows)
+                reflect.write_class_kl_series(out / "class_kl.csv", kl_rows[s])
+                reflect.write_matrix_csv(out / "similarity.csv", matrices[s])
+                echo = train_echo(cfg, dataset_path, out_dir, test_path)
+                (out / "config.echo").write_text(echo + "\n")
 
-            final = history[-1]
-            summaries[i] = {
-                "config": asdict(cfg),
-                "dataset": str(train_path),
-                "test_dataset": str(tp),
-                "epochs_run": len(history),
-                "final": {col: getattr(final, col) for col in METRIC_COLUMNS},
-                "echo": echo,
-            }
-            artifacts.write_json(out / "summary.json", summaries[i], strict=False)
+                final = history[-1]
+                summaries[i] = {
+                    "config": asdict(cfg),
+                    "dataset": str(train_path),
+                    "test_dataset": str(tp),
+                    "epochs_run": len(history),
+                    "final": {col: getattr(final, col) for col in METRIC_COLUMNS},
+                    "echo": echo,
+                }
+                artifacts.write_json(out / "summary.json", summaries[i], strict=False)
     return summaries
 
 

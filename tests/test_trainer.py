@@ -1,5 +1,7 @@
+import concurrent.futures
 import json
 import math
+import multiprocessing
 import os
 import re
 import shlex
@@ -224,6 +226,7 @@ def test_run_set_matches_the_serial_oracle_per_run(tmp_path, monkeypatch):
         replace(linear, use_kr=True, use_kc=True), replace(linear, use_kc=True, seed=1),
         replace(short, **FULL_STACK), replace(short, use_ks=True, seed=3),
     ]
+    monkeypatch.setattr(trainer, "_cpus", lambda: 1)  # train_group is recorded in this process
     groups = []
     train_group = trainer.train_group
 
@@ -346,6 +349,7 @@ def test_a_set_split_by_the_memory_budget_writes_the_same_files(tmp_path, monkey
     test = data.load_dataset(trainer.default_test_path(train_path))
     cells = ({}, FULL_STACK, dict(use_ks=True), dict(use_kr=True, use_kc=True))
     cfgs = [tiny_cfg(seed=seed, **kw) for seed in (0, 1) for kw in cells]
+    monkeypatch.setattr(trainer, "_cpus", lambda: 1)  # train_group is recorded in this process
     groups = recording(monkeypatch, trainer, "train_group")
     trainer.run_set([(cfg, tmp_path / "whole" / str(i)) for i, cfg in enumerate(cfgs)], train_path)
     n, c = train.num_samples, train.num_classes
@@ -647,3 +651,131 @@ def test_a_runs_files_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert set(files[1]) >= {"metrics.csv", "conflicts.csv", "class_kl.csv", "similarity.csv",
                              "summary.json", "config.echo"}
     assert files[1] == files[2]
+
+
+# --- worker lanes ----------------------------------------------------------------------
+
+
+def test_parts_cut_the_largest_part_in_contiguous_halves_while_cpus_are_left():
+    grid = list(range(8))
+    assert trainer._parts([grid], 1) == [(0, grid)]
+    assert trainer._parts([grid], 2) == [(0, [0, 1, 2, 3]), (0, [4, 5, 6, 7])]
+    assert trainer._parts([[0, 1, 2], [3]], 3) == [(0, [0, 1]), (0, [2]), (1, [3])]
+    assert trainer._parts([[0], [1, 2], [3]], 2) == [(0, [0]), (1, [1, 2]), (2, [3])]
+    assert trainer._parts([[0], [1]], 4) == [(0, [0]), (1, [1])]
+
+
+def tree(root):
+    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*"))
+            if path.is_file()}
+
+
+def run_on_lanes(tmp_path, monkeypatch, cpus, cfgs, train_path):
+    """`run_set` of `cfgs` into relative run directories of a fresh
+    directory, as on `cpus` CPUs; returns (the error it raised or None,
+    that directory's files, the worker count of each pool it built)."""
+    pools = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    def recording_pool(workers, **kw):
+        pools.append(workers)
+        return real_pool(workers, **kw)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(trainer, "_cpus", lambda: cpus)
+    cwd = tmp_path / f"cpus{cpus}"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    error = None
+    try:
+        trainer.run_set([(cfg, f"run{i}") for i, cfg in enumerate(cfgs)], train_path)
+    except NumericError as exc:
+        error = str(exc)
+    assert multiprocessing.active_children() == []
+    return error, tree(cwd), pools
+
+
+LANE_SETS = {
+    # one group of 8, cut into its four-run halves
+    "cut": ([tiny_cfg(seed=seed, **kw) for seed in (0, 1)
+             for kw in ({}, FULL_STACK, dict(use_ks=True), dict(use_kr=True, use_kc=True))], 2, [1]),
+    # three uncut groups, two of them on lane 0
+    "groups": ([tiny_cfg(**FULL_STACK), tiny_cfg(lr=0.2), tiny_cfg(lr=0.2, seed=4, use_ks=True),
+                tiny_cfg(epochs=3, use_kr=True)], 2, [1]),
+    # one group cut, the other whole, on three lanes
+    "cut-and-whole": ([tiny_cfg(**FULL_STACK), tiny_cfg(lr=0.2), tiny_cfg(use_ks=True),
+                       tiny_cfg(seed=4, use_kr=True), tiny_cfg(seed=5)], 3, [2]),
+}
+
+
+@pytest.mark.parametrize("name", LANE_SETS)
+def test_a_sets_files_do_not_depend_on_the_lane_count(tmp_path, monkeypatch, name):
+    cfgs, cpus, workers = LANE_SETS[name]
+    train_path = write_tiny_pair(tmp_path).resolve()
+    error, one_lane, pools = run_on_lanes(tmp_path, monkeypatch, 1, cfgs, train_path)
+    assert error is None and pools == []
+    assert set(one_lane) == {f"run{i}/{file}" for i in range(len(cfgs)) for file in (
+        "metrics.csv", "conflicts.csv", "class_kl.csv", "similarity.csv", "summary.json", "config.echo")}
+    error, lanes, pools = run_on_lanes(tmp_path, monkeypatch, cpus, cfgs, train_path)
+    assert error is None and pools == workers
+    assert lanes == one_lane
+
+
+OK = tiny_cfg(epochs=4, tau=1e300)  # tau reaches no loss without review
+BAD = replace(OK, use_kr=True)
+OTHER = replace(OK, lr=0.2)  # a group of its own
+DIVERGING_SETS = {
+    "in-lane-0": [BAD, OK],  # one group, cut: lane 0's half diverges
+    "in-a-worker": [OK, BAD],  # one group, cut: the worker's half diverges
+    "after-a-good-group": [OTHER, OK, BAD],  # the diverging group whole on a worker
+    "before-a-good-group": [OK, BAD, OTHER],  # the diverging group whole on lane 0
+}
+
+
+@pytest.mark.parametrize("name", DIVERGING_SETS)
+def test_a_diverging_set_raises_and_writes_the_same_on_any_lane_count(tmp_path, monkeypatch, name):
+    cfgs = DIVERGING_SETS[name]
+    train_path = write_tiny_pair(tmp_path).resolve()
+    one_lane = run_on_lanes(tmp_path, monkeypatch, 1, cfgs, train_path)
+    lanes = run_on_lanes(tmp_path, monkeypatch, 2, cfgs, train_path)
+    assert one_lane[0].endswith(f"in run run{cfgs.index(BAD)}")
+    assert lanes[:2] == one_lane[:2]
+    assert lanes[2] == [1]
+    written = {"after-a-good-group": {"run0/summary.json"}}.get(name, set())
+    assert {path for path in one_lane[1] if path.endswith("summary.json")} == written
+
+
+PARENT = os.getpid()
+TRAIN_PART = trainer._train_part
+
+
+def train_part_or_die_in_a_worker(*args):
+    """`trainer._train_part` in the test process; a killed worker elsewhere."""
+    if os.getpid() != PARENT:
+        os._exit(3)
+    return TRAIN_PART(*args)
+
+
+def test_a_dead_worker_is_one_error_line_and_writes_nothing_of_its_group(
+    tmp_path, monkeypatch, capsys
+):
+    train_path = write_tiny_pair(tmp_path)
+    monkeypatch.setattr(trainer, "_cpus", lambda: 2)
+    monkeypatch.setattr(trainer, "_train_part", train_part_or_die_in_a_worker)
+    out = tmp_path / "grid"
+    code = cli.main(["ablate", "--data", str(train_path), "--out", str(out), "--epochs", "2"])
+    first = out / "kr0_ks0_kc0" / "seed0"
+    assert (code, capsys.readouterr().err) == (
+        1, f"error: a worker process died while training the group of run {first}\n")
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_a_one_run_set_builds_no_pool(tmp_path, monkeypatch):
+    def no_pool(*args, **kw):
+        raise AssertionError("a one-run set built a worker pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(trainer, "_cpus", lambda: 2)
+    trainer.run_experiment(tiny_cfg(epochs=2), write_tiny_pair(tmp_path), tmp_path / "run")
+    assert (tmp_path / "run" / "summary.json").exists()
