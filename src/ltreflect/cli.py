@@ -20,6 +20,25 @@ from . import artifacts, data, trainer
 from .errors import DimensionError, FormatError, NumericError, ParameterError, StateError
 
 
+# The `synth` flags but --out: (flag, dest, type, default, help), in the
+# order cmd_synth echoes them.
+SYNTH_FLAGS = (
+    ("--classes", "classes", int, 20, None),
+    ("--dim", "dim", int, 32, None),
+    ("--n-max", "n_max", int, 200, "largest class count"),
+    ("--if", "imbalance_factor", float, 100.0, "imbalance factor n_max/n_min"),
+    ("--class-sep", "class_sep", float, 3.0, None),
+    ("--noise", "noise", float, 1.0, None),
+    ("--pairs", "pairs", int, 4,
+     "number of head/tail pairs with overlapping centers; "
+     "pair i couples head class i with the mid-tail class C//2+i, "
+     "placing the paired tails inside the few-shot bucket"),
+    ("--overlap", "overlap", float, 0.8, None),
+    ("--seed", "seed", int, 0, None),
+    ("--test-size", "test_size", int, 50, "balanced test samples per class"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ltreflect",
@@ -28,20 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd")
 
     p = sub.add_parser("synth", help="synthesize a long-tail train set and balanced test set")
-    p.add_argument("--classes", type=int, default=20)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--n-max", type=int, default=200, help="largest class count")
-    p.add_argument("--if", dest="imbalance_factor", type=float, default=100.0,
-                   help="imbalance factor n_max/n_min")
-    p.add_argument("--class-sep", type=float, default=3.0)
-    p.add_argument("--noise", type=float, default=1.0)
-    p.add_argument("--pairs", type=int, default=4,
-                   help="number of head/tail pairs with overlapping centers; "
-                        "pair i couples head class i with the mid-tail class C//2+i, "
-                        "placing the paired tails inside the few-shot bucket")
-    p.add_argument("--overlap", type=float, default=0.8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--test-size", type=int, default=50, help="balanced test samples per class")
+    for flag, dest, kind, default, help_text in SYNTH_FLAGS:
+        p.add_argument(flag, dest=dest, type=kind, default=default, help=help_text)
     p.add_argument("--out", required=True, help="train file path; test split goes to <stem>.test<ext>")
     p.set_defaults(func=cmd_synth)
 
@@ -125,23 +132,11 @@ def cmd_synth(args) -> int:
     test_out = trainer.default_test_path(out)
     data.save_dataset(train, out)
     data.save_dataset(test, test_out)
-    echo = shlex.join(
-        [
-            "synth",
-            "--classes", str(args.classes),
-            "--dim", str(args.dim),
-            "--n-max", str(args.n_max),
-            "--if", repr(args.imbalance_factor),
-            "--class-sep", repr(args.class_sep),
-            "--noise", repr(args.noise),
-            "--pairs", str(args.pairs),
-            "--overlap", repr(args.overlap),
-            "--seed", str(args.seed),
-            "--test-size", str(args.test_size),
-            "--out", str(out),
-        ]
-    )
-    print(echo)
+    words = ["synth"]
+    for flag, dest, kind, _, _ in SYNTH_FLAGS:
+        value = getattr(args, dest)
+        words += [flag, repr(value) if kind is float else str(value)]
+    print(shlex.join([*words, "--out", str(out)]))
     print(
         f"wrote {out} ({train.num_samples} samples, counts {counts[0]}..{counts[-1]}) "
         f"and {test_out} ({test.num_samples} samples)"

@@ -72,28 +72,15 @@ def log_softmax(logits) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise log-probabilities of a [B, C] (or [S, B, C]) logits batch, and their exp.
     Each row depends on that row alone, so the bits of a row do not depend
     on which batch it is taken in."""
-    arr = _as_logits(logits, stacked=True)
-    logp = _log_softmax(_as_rows(arr))
-    return _shaped(logp, arr.shape), _shaped(np.exp(logp), arr.shape)
-
-
-def _as_rows(batch: np.ndarray) -> np.ndarray:
-    """A batch, or a stack of them laid end to end, as one [rows, C] array;
-    row-wise work on it is bitwise the work on each batch, and costs the
-    calls of one 2-D batch."""
-    return batch if batch.ndim == 2 else batch.reshape(-1, batch.shape[-1])
-
-
-def _shaped(rows: np.ndarray, shape) -> np.ndarray:
-    """Rows laid end to end back in the given (stack) shape."""
-    return rows if rows.ndim == len(shape) else rows.reshape(shape)
+    logp = _log_softmax(_as_logits(logits, stacked=True))
+    return logp, np.exp(logp)
 
 
 def _check_log_probs(log_probs, shape) -> tuple[np.ndarray, np.ndarray]:
     logp, probs = log_probs
     if logp.shape != shape or probs.shape != shape:
         raise DimensionError(f"log-probabilities {logp.shape} must match logits {shape}")
-    return _as_rows(logp), _as_rows(probs)
+    return logp, probs
 
 
 def ce_loss(logits, labels, log_probs=None) -> LossOutput:
@@ -104,16 +91,18 @@ def ce_loss(logits, labels, log_probs=None) -> LossOutput:
     lab = _check_labels(labels, arr.shape)
     batch = arr.shape[-2]
     if log_probs is None:
-        logp = _log_softmax(_as_rows(arr))
+        logp = _log_softmax(arr)
         dlogits = np.exp(logp)
     else:
         logp, probs = _check_log_probs(log_probs, arr.shape)
         dlogits = probs.copy()
+    # the label index takes rows; writes go to this function's own `dlogits` rows
+    dlogits = dlogits.reshape(-1, arr.shape[-1])
     at_label = (np.arange(lab.size), lab.ravel())
-    value = -(_shaped(logp[at_label], lab.shape).sum(axis=-1) / batch)
+    value = -(logp.reshape(dlogits.shape)[at_label].reshape(lab.shape).sum(axis=-1) / batch)
     dlogits[at_label] -= 1.0
     dlogits /= batch
-    return LossOutput(float(value) if arr.ndim == 2 else value, _shaped(dlogits, arr.shape))
+    return LossOutput(float(value) if arr.ndim == 2 else value, dlogits.reshape(arr.shape))
 
 
 def bsce_loss(logits, labels, class_counts) -> LossOutput:
@@ -177,19 +166,18 @@ def soft_ce(logits, soft_labels, log_probs=None) -> LossOutput:
         raise DimensionError(
             f"soft label shape {targets.shape} must match logits {arr.shape}"
         )
-    rows = _as_rows(targets)
-    if (rows < 0).any():
+    if (targets < 0).any():
         raise ParameterError("soft labels must be non-negative")
     batch = arr.shape[-2]
     if log_probs is None:
-        logp = _log_softmax(_as_rows(arr))
+        logp = _log_softmax(arr)
         probs = np.exp(logp)
     else:
         logp, probs = _check_log_probs(log_probs, arr.shape)
-    value = -(_shaped((rows * logp).sum(axis=1), arr.shape[:-1]).sum(axis=-1) / batch)
-    row_mass = rows.sum(axis=1, keepdims=True)
-    dlogits = (row_mass * probs - rows) / batch
-    return LossOutput(float(value) if arr.ndim == 2 else value, _shaped(dlogits, arr.shape))
+    value = -((targets * logp).sum(axis=-1).sum(axis=-1) / batch)
+    row_mass = targets.sum(axis=-1, keepdims=True)
+    dlogits = (row_mass * probs - targets) / batch
+    return LossOutput(float(value) if arr.ndim == 2 else value, dlogits)
 
 
 def mse_logits(prev_logits, cur_logits, counts=None) -> LossOutput:

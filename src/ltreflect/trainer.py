@@ -634,81 +634,54 @@ def _named(exc: NumericError, runs, group) -> NumericError:
     return NumericError(f"{exc} in run {runs[group[exc.run]][1]}")
 
 
-def _train_named(runs, group, train, test, split):
-    """`_train_part` on the runs at the positions `group`, in this process."""
-    try:
-        return _train_part([runs[i][0] for i in group], train, test, split)
-    except NumericError as exc:
-        raise _named(exc, runs, group) from None
-
-
-def _lane_results(runs, groups, parts, lanes, pool, train, test, split):
-    """Each group's `_train_part` result in set order, its parts trained on
-    `lanes` lanes: part k on lane k % lanes, lane 0 in this process and the
-    others in `pool`. A group with a diverging part raises what one lane
-    raises: an uncut group its own error, a cut one by training again whole
-    here, once the pool is shut down."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    futures = {
-        k: pool.submit(_train_part, [runs[i][0] for i in members], train, test, split)
-        for k, (_, members) in enumerate(parts)
-        if k % lanes
-    }
-    done = {}
-    for k in range(0, len(parts), lanes):
-        try:
-            done[k] = _train_part([runs[i][0] for i in parts[k][1]], train, test, split)
-        except NumericError as exc:
-            done[k] = exc
-            break  # the parts after it belong to later groups
-    for g, group in enumerate(groups):
-        outs = []
-        for k, (part_group, _) in enumerate(parts):
-            if part_group != g:
-                continue
-            try:
-                outs.append(futures[k].result() if k in futures else done[k])
-            except BrokenProcessPool:
-                raise ChildProcessError(
-                    f"a worker process died while training the group of run {runs[group[0]][1]}"
-                ) from None
-            except NumericError as exc:
-                outs.append(exc)
-        failed = next((out for out in outs if isinstance(out, NumericError)), None)
-        if failed is not None:
-            pool.shutdown(cancel_futures=True)
-            if len(outs) == 1:
-                raise _named(failed, runs, group) from None
-            outs = [_train_named(runs, group, train, test, split)]
-        yield tuple(sum(column, []) for column in zip(*outs))  # parts are contiguous, in order
-
-
-@contextlib.contextmanager
 def _trained_groups(runs, groups, train, test, split):
-    """Yields an iterator of each group's `_train_part` result, in set
-    order. With one lane it trains each group when asked, in this process;
-    with more, the groups' parts (`_parts`) train on forked workers too, and
-    every worker is gone when the block exits, also on an error."""
+    """Yields each group's `_train_part` result, in set order, its parts
+    (`_parts`) trained on one lane per CPU: part k on lane k % lanes, lane 0
+    here when its group comes up and the others on forked workers. One lane
+    builds no pool and imports nothing. A diverging group raises what one
+    lane raises: an uncut group its own error, a cut one by training again
+    whole here once the pool is shut down. Closing the generator shuts the
+    pool down, also on an error."""
     cpus = _cpus()
     parts = _parts(groups, cpus)
     lanes = min(cpus, len(parts))
+    pool, broken = None, ()
     if lanes > 1:
         import multiprocessing  # only here: the one-lane path pays no import
 
         if "fork" not in multiprocessing.get_all_start_methods():
-            lanes = 1
-    if lanes == 1:
-        yield (_train_named(runs, group, train, test, split) for group in groups)
-        return
-    from concurrent.futures import ProcessPoolExecutor
+            parts, lanes = _parts(groups, 1), 1
+        else:
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool as broken
 
-    # fork: a worker starts with the program imported and OpenBLAS pinned
-    pool = ProcessPoolExecutor(lanes - 1, mp_context=multiprocessing.get_context("fork"))
+            # fork: a worker starts with the program imported and OpenBLAS pinned
+            pool = ProcessPoolExecutor(lanes - 1, mp_context=multiprocessing.get_context("fork"))
+    cfgs = [[runs[i][0] for i in members] for _, members in parts]
     try:
-        yield _lane_results(runs, groups, parts, lanes, pool, train, test, split)
+        futures = {k: pool.submit(_train_part, cfgs[k], train, test, split)
+                   for k in range(len(parts)) if k % lanes}
+        for g, group in enumerate(groups):
+            cut = [k for k, (part_group, _) in enumerate(parts) if part_group == g]
+            try:
+                try:
+                    outs = [futures[k].result() if k in futures
+                            else _train_part(cfgs[k], train, test, split) for k in cut]
+                except NumericError:
+                    if len(cut) == 1:
+                        raise
+                    pool.shutdown(cancel_futures=True)
+                    outs = [_train_part([runs[i][0] for i in group], train, test, split)]
+            except broken:
+                raise ChildProcessError(
+                    f"a worker process died while training the group of run {runs[group[0]][1]}"
+                ) from None
+            except NumericError as exc:
+                raise _named(exc, runs, group) from None
+            yield tuple(sum(column, []) for column in zip(*outs))  # parts are contiguous, in order
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 @_one_blas_thread()
@@ -723,13 +696,21 @@ def run_set(runs, dataset_path, test_path=None) -> list[dict]:
     CPU (`_trained_groups`), and its files do not depend on the lane count.
     Groups are written in set order, each after all of its runs finished;
     the first group that diverges, or whose worker dies, writes none of its
-    directories and stops the set."""
+    directories and stops the set. A run directory that is a file, or lies
+    under one, is an OSError before the pair loads."""
     if not runs:
         raise ParameterError("a run set needs at least one run")
     dirs = [Path(out_dir).resolve() for _, out_dir in runs]
     if len(set(dirs)) != len(dirs):
         twice = next(runs[i][1] for i, d in enumerate(dirs) if d in dirs[:i])
         raise ParameterError(f"run directory {twice} appears twice in one run set")
+    for _, out_dir in runs:  # only looked at: a run's directory is made when it is written
+        out = Path(out_dir)
+        found = next(path for path in (out, *out.parents) if path.exists())
+        if not found.is_dir():
+            if found == out:
+                raise FileExistsError(f"run directory {out_dir} exists and is not a directory")
+            raise NotADirectoryError(f"run directory {out_dir} lies under {found}, which is not a directory")
     train_path = Path(dataset_path)
     if not train_path.exists():
         raise FileNotFoundError(f"dataset file not found: {train_path}")
@@ -747,7 +728,7 @@ def run_set(runs, dataset_path, test_path=None) -> list[dict]:
 
     summaries = [None] * len(runs)
     groups = lockstep_groups([cfg for cfg, _ in runs], train, test)
-    with _trained_groups(runs, groups, train, test, split) as results:
+    with contextlib.closing(_trained_groups(runs, groups, train, test, split)) as results:
         for group, (histories, kl_rows, matrices) in zip(groups, results):
             for s, i in enumerate(group):
                 cfg, out_dir = runs[i]

@@ -115,6 +115,30 @@ def test_train_prints_its_flag_line_only_after_the_pair_loads(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_an_out_path_that_is_or_lies_under_a_file_fails_before_the_pair_loads(
+    tmp_path, capsys, monkeypatch
+):
+    path = synth_tiny(tmp_path)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+
+    def no_load(*args):
+        raise AssertionError("the dataset pair was loaded")
+
+    monkeypatch.setattr(data, "load_dataset", no_load)
+    assert run(["train", "--data", str(path), "--out", str(afile), "--kr", "--ks", "--kc"]) == 1
+    assert run(["ablate", "--data", str(path), "--out", str(afile / "grid"), "--epochs", "20"]) == 1
+    captured = capsys.readouterr()
+    first = afile / "grid" / "kr0_ks0_kc0" / "seed0"
+    assert (captured.out, captured.err.splitlines()) == ("", [
+        f"error: run directory {afile} exists and is not a directory",
+        f"error: run directory {first} lies under {afile}, which is not a directory",
+    ])
+    assert sorted(tmp_path.rglob("*")) == before and afile.read_text() == ""
+
+
 # --- synth ---------------------------------------------------------------------------
 
 

@@ -779,3 +779,17 @@ def test_a_one_run_set_builds_no_pool(tmp_path, monkeypatch):
     monkeypatch.setattr(trainer, "_cpus", lambda: 2)
     trainer.run_experiment(tiny_cfg(epochs=2), write_tiny_pair(tmp_path), tmp_path / "run")
     assert (tmp_path / "run" / "summary.json").exists()
+
+
+def test_a_one_lane_set_imports_neither_multiprocessing_nor_concurrent_futures(tmp_path):
+    """This module imports both, so a fresh process trains the set."""
+    train_path = write_tiny_pair(tmp_path)
+    src = Path(trainer.__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    argv = ["train", "--data", str(train_path), "--out", str(tmp_path / "run"), "--epochs", "2"]
+    code = (f"import sys; from ltreflect import cli; assert cli.main({argv!r}) == 0; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
