@@ -117,6 +117,10 @@ def cmd_synth(args) -> int:
     if not 0 <= args.overlap <= 1:
         raise ParameterError(f"--overlap must be in [0, 1], got {args.overlap}")
     pairs = [(i, args.classes // 2 + i, args.overlap) for i in range(args.pairs)]
+    out = Path(args.out)
+    test_out = trainer.default_test_path(out)
+    trainer.check_target(out, "dataset file")
+    trainer.check_target(test_out, "test dataset file")
     train = data.synth_gaussians(
         args.classes, args.dim, counts,
         class_sep=args.class_sep, noise_sigma=args.noise,
@@ -127,9 +131,7 @@ def cmd_synth(args) -> int:
         class_sep=args.class_sep, noise_sigma=args.noise,
         similarity_pairs=pairs, seed=args.seed, noise_seed=args.seed + 1,
     )
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    test_out = trainer.default_test_path(out)
     data.save_dataset(train, out)
     data.save_dataset(test, test_out)
     words = ["synth"]

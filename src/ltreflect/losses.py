@@ -5,11 +5,11 @@ gradient of that value with respect to the current logits. Distillation
 losses (kl_distill, mse_logits) treat the previous-epoch logits as
 constants: no gradient flows to them.
 
-ce_loss, bsce_loss and soft_ce also take a stack of S batches [S, B, C]
-(labels [S, B]) and then return one value per batch; kl_distill and
-mse_logits take the rows of several batches one after another with their
-row `counts`. Either way each batch's value and gradient are bitwise those
-of its own call.
+bsce_loss is ce_loss on logits shifted by `log_prior_shift`. ce_loss,
+bsce_loss and soft_ce also take a stack of S batches [S, B, C] (labels
+[S, B]) and then return one value per batch; kl_distill takes the rows of
+several batches one after another with their row `counts`. Either way each
+batch's value and gradient are bitwise those of its own call.
 """
 
 from __future__ import annotations
@@ -105,23 +105,23 @@ def ce_loss(logits, labels, log_probs=None) -> LossOutput:
     return LossOutput(float(value) if arr.ndim == 2 else value, dlogits.reshape(arr.shape))
 
 
-def bsce_loss(logits, labels, class_counts) -> LossOutput:
-    """Balanced-softmax cross-entropy: logits shifted by log class frequency.
-
-    The log-prior is centred on its maximum so that uniform counts reduce
-    to plain ce_loss bit-for-bit.
-    """
-    arr = _as_logits(logits, stacked=True)
+def log_prior_shift(class_counts, num_classes: int) -> np.ndarray:
+    """The [C] log class frequency centred on its maximum, which balanced
+    softmax adds to the logits: uniform counts reduce it to ce_loss."""
     counts = np.asarray(class_counts, dtype=np.float64)
-    if counts.shape != (arr.shape[-1],):
-        raise DimensionError(
-            f"class_counts must have length {arr.shape[-1]}, got shape {counts.shape}"
-        )
+    if counts.shape != (num_classes,):
+        raise DimensionError(f"class_counts must have length {num_classes}, got shape {counts.shape}")
     if (counts <= 0).any():
         raise ParameterError("all class counts must be positive")
     log_prior = np.log(counts)
-    adjusted = arr + (log_prior - log_prior.max())
-    return ce_loss(adjusted, labels)
+    return log_prior - log_prior.max()
+
+
+def bsce_loss(logits, labels, class_counts) -> LossOutput:
+    """Balanced-softmax cross-entropy: ce_loss on the logits shifted by
+    `log_prior_shift`."""
+    arr = _as_logits(logits, stacked=True)
+    return ce_loss(arr + log_prior_shift(class_counts, arr.shape[-1]), labels)
 
 
 def kl_distill(prev_logits, cur_logits, tau=1.0, counts=None) -> LossOutput:
@@ -180,13 +180,13 @@ def soft_ce(logits, soft_labels, log_probs=None) -> LossOutput:
     return LossOutput(float(value) if arr.ndim == 2 else value, dlogits)
 
 
-def mse_logits(prev_logits, cur_logits, counts=None) -> LossOutput:
+def mse_logits(prev_logits, cur_logits) -> LossOutput:
     """Half squared distance between logit rows, batch mean; gradient to cur
-    only. `counts` as in kl_distill."""
+    only."""
     prev = _as_logits(prev_logits)
     cur = _as_logits(cur_logits)
     if prev.shape != cur.shape:
         raise DimensionError(f"logit shapes differ: {prev.shape} vs {cur.shape}")
     diff = cur - prev
-    mean, dlogits = _batch_means((diff * diff).sum(axis=1), diff, counts)
+    mean, dlogits = _batch_means((diff * diff).sum(axis=1), diff, None)
     return LossOutput(0.5 * mean, dlogits)

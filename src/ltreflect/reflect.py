@@ -11,7 +11,7 @@ import numpy as np
 
 from . import artifacts
 from .errors import DimensionError, ParameterError, StateError
-from .losses import LossOutput, kl_distill, kl_to_targets, mse_logits, tempered_log_probs
+from .losses import LossOutput, kl_distill, kl_to_targets, tempered_log_probs
 from .losses import _as_logits, _log_softmax
 
 _ZERO_NORM = 1e-12
@@ -67,10 +67,15 @@ def cache_update(cache: EpochCache, indices, logits, labels) -> None:
     cache.correct_mask[idx] = arr.argmax(axis=-1) == lab
 
 
-def _masked_batch_loss(cache, indices, cur_logits, loss_fn) -> LossOutput:
-    """loss_fn(rows, cur, counts) on the rows the filter keeps. A stack of
-    batches ([S, B] indices) keeps each batch's rows in a compacted run of
-    their own, so each batch's value is the .sum() of exactly its rows."""
+def kr_batch_loss(cache: EpochCache, indices, cur_logits, tau) -> LossOutput:
+    """Distillation toward the cached predictions, restricted to rows the
+    previous epoch classified correctly; the mean is over qualifying rows.
+    Rows outside the filter get exactly-zero gradient. A stack of batches
+    ([S, B] indices, [S, B, C] logits) returns one value per batch, the
+    .sum() of exactly its kept rows. The targets are the ones `temper`
+    took, if it did, and otherwise taken from the kept rows alone: row-wise,
+    so either way each row's bits equal kl_distill's on the batch.
+    """
     if cache is None:
         raise StateError("no previous-epoch cache; run the warm-up epoch first")
     idx = np.asarray(indices, dtype=np.intp)
@@ -83,38 +88,13 @@ def _masked_batch_loss(cache, indices, cur_logits, loss_fn) -> LossOutput:
     dlogits = np.zeros_like(cur_rows)
     counts = mask.reshape(idx.shape).sum(axis=1) if stacked and len(idx) > 1 else None
     if mask.any():
-        out = loss_fn(rows[mask], cur_rows[mask], counts)
+        review = kl_to_targets if cache.tempered else kl_distill
+        out = review(cache.prev_logits[rows[mask]], cur_rows[mask], tau, counts)
         dlogits[mask] = out.dlogits
         value = np.array([out.value]) if stacked and counts is None else out.value  # a stack of one
     else:
         value = np.zeros(len(idx)) if stacked else 0.0
     return LossOutput(value, dlogits.reshape(cur.shape) if stacked else dlogits)
-
-
-def kr_batch_loss(cache: EpochCache, indices, cur_logits, tau) -> LossOutput:
-    """Distillation toward the cached predictions, restricted to rows the
-    previous epoch classified correctly; the mean is over qualifying rows.
-    Rows outside the filter get exactly-zero gradient. A stack of batches
-    ([S, B] indices, [S, B, C] logits) returns one value per batch. The
-    targets are the ones `temper` took, if it did, and otherwise taken from
-    the kept rows alone: row-wise, so either way each row's bits equal
-    kl_distill's on the batch.
-    """
-
-    def review(rows, cur, counts):
-        if cache.tempered:
-            return kl_to_targets(cache.prev_logits[rows], cur, tau, counts)
-        return kl_distill(cache.prev_logits[rows], cur, tau, counts)
-
-    return _masked_batch_loss(cache, indices, cur_logits, review)
-
-
-def mse_batch_loss(cache: EpochCache, indices, cur_logits) -> LossOutput:
-    """Direct logit matching under the same correctness filter as kr_batch_loss."""
-    return _masked_batch_loss(
-        cache, indices, cur_logits,
-        lambda rows, cur, counts: mse_logits(cache.prev_logits[rows], cur, counts),
-    )
 
 
 class FeatureStore:

@@ -41,7 +41,6 @@ class TrainConfig:
     use_kr: bool = False
     use_ks: bool = False
     use_kc: bool = False
-    use_mse_ablation: bool = False
     tau: float = 2.0
     alpha: float = 0.9
     epochs: int = 40
@@ -58,8 +57,6 @@ class TrainConfig:
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.ltr_loss not in LTR_LOSSES:
             raise ParameterError(f"ltr_loss must be 'ce' or 'bsce', got {self.ltr_loss!r}")
-        if self.use_mse_ablation and self.use_kr:
-            raise ParameterError("use_mse_ablation excludes use_kr")
         if not (0.0 <= self.alpha <= 1.0):
             raise ParameterError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.tau < 1.0:
@@ -88,7 +85,6 @@ TRAIN_FLAGS = (
     ("--kr", "use_kr", bool, "enable review distillation"),
     ("--ks", "use_ks", bool, "enable similarity soft labels"),
     ("--kc", "use_kc", bool, "enable conflict projection"),
-    ("--mse-ablation", "use_mse_ablation", bool, "replace the review KL with direct logit MSE"),
     ("--tau", "tau", float, None),
     ("--alpha", "alpha", float, None),
     ("--epochs", "epochs", int, None),
@@ -129,12 +125,13 @@ class EpochMetrics:
     layer_conflict_rates: dict[str, float] = field(default_factory=dict)
 
 
-# Lockstep groups. The runs of a group differ only in components (KR, KS,
-# KC) and seed (`group_key`); every other setting is the group's. They step
-# together: one stacked forward, loss assembly, backward, conflict_stats and
-# sgd_step serve them all. A component that is off in a run is a zero row
-# (its auxiliary gradient) or left out by an index subset; a subset of every
-# run is `slice(None)`, so it indexes nothing and copies nothing. A one-run
+# Lockstep groups. The runs of a group differ only in LTR loss, components
+# (KR, KS, KC) and seed (`group_key`); every other setting is the group's.
+# They step together: one stacked forward, loss assembly (CE of the logits
+# plus each BSCE run's log-prior), backward, conflict_stats and sgd_step
+# serve them all. A component that is off in a run is a zero row (its
+# auxiliary gradient) or left out by an index subset; a subset of every run
+# is `slice(None)`, so it indexes nothing and copies nothing. A one-run
 # group is a stack of one, `[1, ...]`, on the same path. Bitwise rules this
 # relies on, each measured on numpy 2.4 with OpenBLAS at 1 and 2 threads,
 # and held end to end by the serial oracle tests (tests/oracles.py::serial_run):
@@ -145,10 +142,12 @@ class EpochMetrics:
 #   row dots `np.matmul(a[:, None, :], b[:, :, None])` and a stacked
 #   `np.median(axis=1)`, which go unused: KC projects run by run, and medians
 #   are taken run by run to bound the group's peak memory.
-# - A masked KR or MSE loss value must be the `.sum()` of the run's
+# - A masked KR loss value must be the `.sum()` of the run's
 #   compacted rows: `np.add.reduceat` segments and zero-padded
 #   `np.where(mask, x, 0).sum()` differ from `.sum()` in about 60% of random
 #   cases, so `losses._batch_means` sums each run's rows on their own.
+# - `ce_loss(logits + shift)` equals each run's own `bsce_loss` or `ce_loss`
+#   call, also where a CE row's `+ 0.0` turns a -0.0 logit into +0.0.
 # - Likewise a per-class mean is the `.sum()` of the class's rows in their
 #   order, never `np.add.reduceat` or `np.bincount(weights=...)`: so
 #   `reflect.per_class_adjacent_kl` takes every test row's KL in one pass
@@ -158,8 +157,9 @@ class EpochMetrics:
 
 
 def group_key(cfg: TrainConfig) -> tuple:
-    """Every field but the components and the seed: a lockstep group's runs share it."""
-    return astuple(replace(cfg, use_kr=False, use_ks=False, use_kc=False, seed=0))
+    """Every field but the LTR loss, the components and the seed: a lockstep
+    group's runs share it."""
+    return astuple(replace(cfg, ltr_loss="ce", use_kr=False, use_ks=False, use_kc=False, seed=0))
 
 
 def _subset(flags) -> slice | np.ndarray | None:
@@ -183,34 +183,36 @@ def _offsets(count: int, rows_per_run: int) -> np.ndarray | None:
 @dataclass(frozen=True)
 class GroupLayout:
     """Which runs of a lockstep group use what, fixed for the group's life.
-    Cache rows are run-major over the `review` runs (KR, or every run of an
-    MSE ablation group), store rows over the runs that take medians; an
-    offset of a single run's rows is None."""
+    Cache rows are run-major over the KR runs, store rows over the runs that
+    take medians; an offset of a single run's rows is None."""
 
-    review: slice | np.ndarray | None
+    shift: np.ndarray | None  # [S, 1, C] LTR logit shift: BSCE's log-prior, 0 for CE; None if all CE
+    kr: slice | np.ndarray | None
     ks: slice | np.ndarray | None
     aux: slice | np.ndarray | None  # runs with an auxiliary gradient once epoch 0 is done
     no_aux: slice | np.ndarray | None
     kc: list[int]  # aux runs that project
-    review_rows: np.ndarray | None  # [S_review, 1] cache row offset of each review run
+    kr_rows: np.ndarray | None  # [S_kr, 1] cache row offset of each KR run
     ks_rows: np.ndarray | None  # [S_ks, 1] row offset of each KS run's soft targets
 
     @classmethod
-    def of(cls, cfgs: list[TrainConfig], num_samples: int, num_classes: int) -> GroupLayout:
+    def of(cls, cfgs: list[TrainConfig], dataset: data.Dataset) -> GroupLayout:
         def flags(name):
             return np.array([getattr(cfg, name) for cfg in cfgs])
 
-        review = flags("use_kr") | flags("use_mse_ablation")
-        ks = flags("use_ks")
-        aux = review | ks
+        bsce = flags("ltr_loss") == "bsce"
+        prior = losses.log_prior_shift(dataset.class_counts, dataset.num_classes) if bsce.any() else None
+        kr, ks = flags("use_kr"), flags("use_ks")
+        aux = kr | ks
         return cls(
-            review=_subset(review),
+            shift=None if prior is None else np.where(bsce[:, None, None], prior, 0.0),
+            kr=_subset(kr),
             ks=_subset(ks),
             aux=_subset(aux),
             no_aux=_subset(~aux),
             kc=np.flatnonzero(flags("use_kc") & aux).tolist(),
-            review_rows=_offsets(review.sum(), num_samples),
-            ks_rows=_offsets(ks.sum(), num_classes),
+            kr_rows=_offsets(kr.sum(), dataset.num_samples),
+            ks_rows=_offsets(ks.sum(), dataset.num_classes),
         )
 
 
@@ -228,7 +230,7 @@ class TrainerState:
     augment_rngs: list[np.random.Generator]
     soft_labels: list[reflect.SoftLabels | None]
     epoch: int = 0
-    cache: reflect.EpochCache | None = None  # only with KR or the MSE ablation
+    cache: reflect.EpochCache | None = None  # only with KR
     y_hat: np.ndarray | None = None  # [S_ks * C, C] soft targets of the KS runs, run-major
 
 
@@ -244,7 +246,9 @@ def init_state(cfgs, dataset: data.Dataset) -> TrainerState:
     its own seed exactly as it would be alone."""
     cfgs = list(cfgs)
     if len({group_key(cfg) for cfg in cfgs}) != 1:
-        raise ParameterError("a lockstep group's runs differ only in use_kr, use_ks, use_kc and seed")
+        raise ParameterError(
+            "a lockstep group's runs differ only in ltr_loss, use_kr, use_ks, use_kc and seed"
+        )
     streams = [rng_streams(cfg.seed) for cfg in cfgs]
     params = nn.stack_params(
         [nn.init_params(dataset.dim, dataset.num_classes, cfg.hidden_dim, init)
@@ -252,7 +256,7 @@ def init_state(cfgs, dataset: data.Dataset) -> TrainerState:
     )
     return TrainerState(
         cfgs=cfgs,
-        layout=GroupLayout.of(cfgs, dataset.num_samples, dataset.num_classes),
+        layout=GroupLayout.of(cfgs, dataset),
         params=params,
         velocity=np.zeros(params.flat.shape),
         shuffle_rngs=[shuffle for _, shuffle, _ in streams],
@@ -279,30 +283,23 @@ def assemble_batch_losses(
     logits: np.ndarray,
     indices: np.ndarray,
     labels: np.ndarray,
-    class_counts: np.ndarray,
 ) -> list[tuple[str, slice | np.ndarray, losses.LossOutput]]:
     """(name, runs, loss) terms of one lockstep batch: the LTR loss of every
-    run, then review (KR, or MSE in an MSE ablation group) and KS on their
-    runs. The warm-up epoch has neither a prediction cache nor soft labels,
-    so no regularizer contributes anything. With KS on, CE and soft_ce share
-    one log-softmax of the logits; BSCE takes its own, of the shifted logits."""
+    run, then KR and KS on their runs. The warm-up epoch has neither a
+    prediction cache nor soft labels, so no regularizer contributes
+    anything. The LTR loss is CE on the logits plus the group's shift; with
+    KS on and no shift, CE and soft_ce share one log-softmax of the logits."""
     lay, cfg = state.layout, state.cfgs[0]
     active = state.epoch > 0
     raw = losses.log_softmax(logits) if active and lay.ks is not None else None
-    if cfg.ltr_loss == "bsce":
-        ltr = losses.bsce_loss(logits, labels, class_counts)
-    else:
-        ltr = losses.ce_loss(logits, labels, raw)
+    ltr = (losses.ce_loss(logits, labels, raw) if lay.shift is None
+           else losses.ce_loss(logits + lay.shift, labels))
     terms = [("ltr", slice(None), ltr)]
     if not active:
         return terms
-    if lay.review is not None:
-        rows = _rows(indices, lay.review, lay.review_rows)
-        if cfg.use_mse_ablation:
-            review = reflect.mse_batch_loss(state.cache, rows, logits[lay.review])
-        else:
-            review = reflect.kr_batch_loss(state.cache, rows, logits[lay.review], cfg.tau)
-        terms.append(("kr", lay.review, review))
+    if lay.kr is not None:
+        rows = _rows(indices, lay.kr, lay.kr_rows)
+        terms.append(("kr", lay.kr, reflect.kr_batch_loss(state.cache, rows, logits[lay.kr], cfg.tau)))
     if lay.ks is not None:
         targets = state.y_hat[_rows(labels, lay.ks, lay.ks_rows)]
         raw = tuple(part[lay.ks] for part in raw)
@@ -344,7 +341,7 @@ def train_epoch(
     """One shuffled pass of every run of the group, in lockstep: each step
     makes one stacked forward, one loss assembly, one backward, one
     conflict_stats and one sgd_step for all runs. It builds only the memory
-    something reads: the prediction cache with review (KR or MSE), the
+    something reads: the prediction cache with KR, the
     class medians and soft labels every epoch with KS and otherwise only in
     the final epoch (whose similarity matrix the run directory holds). The
     metrics, one per run, carry the losses and conflict rates; run_set adds
@@ -357,11 +354,11 @@ def train_epoch(
     orders = np.stack([rng.permutation(n) for rng in state.shuffle_rngs])
     aux = lay.aux if state.epoch > 0 else None
     last = state.epoch == cfg.epochs - 1
-    if lay.review is not None and state.cache is None:
+    if lay.kr is not None and state.cache is None:
         # one buffer: a row is read (review) before the same step rewrites it
-        state.cache = reflect.empty_cache(_size(lay.review, num_runs) * n, dataset.num_classes)
-    writes_cache = lay.review is not None and not last  # no epoch reads the last one's
-    if lay.review is not None and not cfg.use_mse_ablation and state.epoch > 0:
+        state.cache = reflect.empty_cache(_size(lay.kr, num_runs) * n, dataset.num_classes)
+    writes_cache = lay.kr is not None and not last  # no epoch reads the last one's
+    if lay.kr is not None and state.epoch > 0:
         reflect.temper(state.cache, cfg.tau)
     medians = slice(None) if last else lay.ks
     store = store_rows = None
@@ -389,7 +386,7 @@ def train_epoch(
             x = data.augment(dataset.features[idx], 0.0, None)
         y = dataset.labels[idx]
         rec = nn.forward(state.params, x)
-        terms = assemble_batch_losses(state, rec.logits, idx, y, dataset.class_counts)
+        terms = assemble_batch_losses(state, rec.logits, idx, y)
         finite = True
         for name, runs, out in terms:
             total = sums[name]
@@ -421,7 +418,7 @@ def train_epoch(
         nn.sgd_step(state.params, g_update, lr, cfg.momentum, state.velocity)
         if writes_cache:
             reflect.cache_update(
-                state.cache, _rows(idx, lay.review, lay.review_rows), rec.logits[lay.review], y[lay.review]
+                state.cache, _rows(idx, lay.kr, lay.kr_rows), rec.logits[lay.kr], y[lay.kr]
             )
         if store is not None:
             store.add(_rows(idx, medians, store_rows), rec.features[medians])
@@ -486,6 +483,17 @@ def default_test_path(dataset_path) -> Path:
     if p.suffix:
         return p.with_suffix(".test" + p.suffix)
     return Path(str(p) + ".test")
+
+
+def check_target(path, what: str, directory: bool = False) -> None:
+    """Raises an OSError naming `path` if it lies under a file, or exists as
+    a directory where a file goes (as a non-directory with `directory`)."""
+    path = Path(path)
+    found = next(p for p in (path, *path.parents) if p.exists())
+    if found != path and not found.is_dir():
+        raise NotADirectoryError(f"{what} {path} lies under {found}, which is not a directory")
+    if found == path and path.is_dir() != directory:
+        raise FileExistsError(f"{what} {path} exists and is {'not ' if directory else ''}a directory")
 
 
 def write_metrics_csv(path, history: list[EpochMetrics]) -> None:
@@ -704,13 +712,8 @@ def run_set(runs, dataset_path, test_path=None) -> list[dict]:
     if len(set(dirs)) != len(dirs):
         twice = next(runs[i][1] for i, d in enumerate(dirs) if d in dirs[:i])
         raise ParameterError(f"run directory {twice} appears twice in one run set")
-    for _, out_dir in runs:  # only looked at: a run's directory is made when it is written
-        out = Path(out_dir)
-        found = next(path for path in (out, *out.parents) if path.exists())
-        if not found.is_dir():
-            if found == out:
-                raise FileExistsError(f"run directory {out_dir} exists and is not a directory")
-            raise NotADirectoryError(f"run directory {out_dir} lies under {found}, which is not a directory")
+    for _, out_dir in runs:  # a run's directory is made when it is written
+        check_target(out_dir, "run directory", directory=True)
     train_path = Path(dataset_path)
     if not train_path.exists():
         raise FileNotFoundError(f"dataset file not found: {train_path}")

@@ -54,8 +54,8 @@ def baseline_run(cfg, train, test, split):
 
 def serial_run(cfg, train, test, split):
     """The trainer's epoch loop written out one call per loss: CE/BSCE,
-    review KL (`kl_distill`) or MSE on the rows the previous epoch got
-    right, soft CE with its own log-softmax, and one backward pass per
+    review KL (`kl_distill`) on the rows the previous epoch got right,
+    soft CE with its own log-softmax, and one backward pass per
     gradient. The class medians are taken every epoch, over each class's
     rows gathered in arrival order. Returns (params, velocity, per-epoch
     EpochMetrics, last soft labels, (epoch, per-class KL) rows from epoch 1
@@ -87,14 +87,10 @@ def serial_run(cfg, train, test, split):
             sums["ltr"] += ltr.value
             aux = np.zeros_like(rec.logits)
             has_aux = False
-            if cache is not None and (cfg.use_kr or cfg.use_mse_ablation):
+            if cache is not None and cfg.use_kr:
                 mask = cache.correct_mask[idx]
                 if mask.any():
-                    prev = cache.prev_logits[idx[mask]]
-                    if cfg.use_kr:
-                        kr = losses.kl_distill(prev, rec.logits[mask], cfg.tau)
-                    else:
-                        kr = losses.mse_logits(prev, rec.logits[mask])
+                    kr = losses.kl_distill(cache.prev_logits[idx[mask]], rec.logits[mask], cfg.tau)
                     sums["kr"] += kr.value
                     aux[mask] += kr.dlogits
                 has_aux = True

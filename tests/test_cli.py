@@ -41,14 +41,6 @@ def test_unknown_flag_rejected():
     assert run(["train", "--data", "x", "--out", "y", "--frobnicate"]) == 2
 
 
-def test_kr_conflicts_with_mse_ablation(tmp_path):
-    path = synth_tiny(tmp_path)
-    code = run(
-        ["train", "--data", str(path), "--out", str(tmp_path / "o"), "--kr", "--mse-ablation"]
-    )
-    assert code == 2
-
-
 def test_bad_imbalance_factor_is_usage_error(tmp_path):
     assert run(["synth", "--if", "0.5", "--out", str(tmp_path / "x.ltds")]) == 2
 
@@ -142,6 +134,29 @@ def test_an_out_path_that_is_or_lies_under_a_file_fails_before_the_pair_loads(
 # --- synth ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("where", ["under-a-file", "test-set-is-a-directory"])
+def test_synth_checks_both_targets_before_it_synthesizes(tmp_path, capsys, monkeypatch, where):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    (tmp_path / "x.test.ltds").mkdir()
+    if where == "under-a-file":
+        out = afile / "w.ltds"
+        error = f"dataset file {out} lies under {afile}, which is not a directory"
+    else:
+        out = tmp_path / "x.ltds"
+        error = f"test dataset file {tmp_path / 'x.test.ltds'} exists and is a directory"
+    before = sorted(tmp_path.rglob("*"))
+
+    def no_synth(*args, **kwargs):
+        raise AssertionError("a set was synthesized")
+
+    monkeypatch.setattr(data, "synth_gaussians", no_synth)
+    assert run(["synth", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err.splitlines()) == ("", [f"error: {error}"])
+    assert sorted(tmp_path.rglob("*")) == before and afile.read_text() == ""
+
+
 def test_synth_balanced_when_if_is_one(tmp_path):
     out = tmp_path / "flat.ltds"
     code = run(["synth", "--classes", "4", "--dim", "4", "--n-max", "30", "--if", "1",
@@ -210,7 +225,6 @@ NON_DEFAULT = {
     "use_kr": True,
     "use_ks": True,
     "use_kc": True,
-    "use_mse_ablation": True,
     "tau": 3.5,
     "alpha": 0.25,
     "epochs": 7,
@@ -232,13 +246,15 @@ def test_echo_round_trips_every_config_field(name):
     assert cli._config_from_args(args) == cfg
 
 
-def test_train_with_mse_ablation_flag(tmp_path):
+def test_train_with_mse_ablation_flag(tmp_path, capsys):
+    """The logit-MSE review ablation is gone: its flag is unknown."""
     path = synth_tiny(tmp_path)
+    capsys.readouterr()
     code = run(["train", "--data", str(path), "--out", str(tmp_path / "mse"),
                 "--mse-ablation", "--epochs", "2", "--batch", "16", "--hidden", "8"])
-    assert code == 0
-    echo = (tmp_path / "mse" / "config.echo").read_text()
-    assert "--mse-ablation" in echo
+    assert code == 2
+    assert "unrecognized arguments: --mse-ablation" in capsys.readouterr().err
+    assert not (tmp_path / "mse").exists()
 
 
 def test_train_twice_identical_outputs(tmp_path):
@@ -399,7 +415,6 @@ def test_train_on_a_non_finite_feature_file_is_runtime_error(tmp_path, capsys):
     [
         "--tau 1e308 --kr --ks",  # the review KL overflows
         "--sigma-aug 1e200",  # the forward pass overflows
-        "--mse-ablation --ks --kc --epochs 20 --seed 2",  # the logit MSE overflows at epoch 1
     ],
 )
 def test_a_diverging_train_reports_one_error_line_and_no_warning(tmp_path, capsys, flags):

@@ -11,7 +11,7 @@ import io
 import itertools
 import warnings
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ltreflect import cli, trainer
@@ -66,14 +66,15 @@ def test_every_generated_command_keeps_the_cli_contract(tmp_path):
     pair = tmp_path / "pair" / "tiny.ltds"
     synth = [f"{flag}={BASE.get(dest, default)}" for flag, dest, _, default in SYNTH_ROWS]
     assert main_quietly(["synth", *synth, "--out", str(pair)]) == (0, [], [])
-    example = itertools.count()
+    serial = itertools.count()
     codes = collections.Counter()
 
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(COMMANDS)
+    @example(("train", ["--epochs=2", "--lr=1e308"]))  # a run that diverges: exit 1
     def check(command):
         name, argv = command
-        out = tmp_path / f"e{next(example)}"
+        out = tmp_path / f"e{next(serial)}"
         where, data = (out / "s.ltds", []) if name == "synth" else (out / "run", ["--data", str(pair)])
         code, err, caught = main_quietly([name, *data, *argv, "--out", str(where)])
         assert code in (0, 1, 2) and caught == []

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltreflect import losses
@@ -86,6 +86,29 @@ def test_bsce_gradient_matches_finite_differences():
     out = losses.bsce_loss(logits, labels, counts)
     fd = fd_grad_logits(lambda v: losses.bsce_loss(v, labels, counts).value, logits)
     assert max_rel_err(out.dlogits, fd) < 1e-4
+
+
+@given(st.integers(0, 10_000), st.integers(1, 5), st.integers(1, 16), st.integers(2, 20),
+       st.sampled_from([1e-3, 1.0, 30.0]))
+@settings(derandomize=True, max_examples=200, database=None)
+def test_one_ce_of_shifted_logits_is_each_runs_own_ce_or_bsce(seed, runs, batch, classes, scale):
+    """A lockstep group's LTR loss: one stacked ce_loss of the logits plus a
+    [S, 1, C] shift (BSCE's log-prior, zero for CE) gives every run the
+    bytes of its own call, also with logits that are exactly -0.0."""
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(scale=scale, size=(runs, batch, classes))
+    logits[rng.random(logits.shape) < 0.1] = -0.0
+    labels = rng.integers(0, classes, size=(runs, batch))
+    counts = rng.integers(1, 500, size=classes)
+    bsce = rng.random(runs) < 0.5
+    shift = np.zeros((runs, 1, classes))
+    shift[bsce] = losses.log_prior_shift(counts, classes)
+    out = losses.ce_loss(logits + shift, labels)
+    for s in range(runs):
+        own = (losses.bsce_loss(logits[s], labels[s], counts) if bsce[s]
+               else losses.ce_loss(logits[s], labels[s]))
+        assert out.value[s].tobytes() == np.float64(own.value).tobytes()
+        assert out.dlogits[s].tobytes() == own.dlogits.tobytes()
 
 
 # --- distillation KL --------------------------------------------------------

@@ -111,15 +111,6 @@ def test_kr_targets_follow_cache_updates_and_tau():
         assert out.dlogits.tobytes() == ref.dlogits.tobytes()
 
 
-def test_mse_batch_loss_same_filter():
-    cache = reflect.empty_cache(2, 2)
-    prev = np.array([[1.0, 0.0], [0.0, 1.0]])
-    reflect.cache_update(cache, [0, 1], prev, np.array([0, 0]))
-    out = reflect.mse_batch_loss(cache, [0, 1], np.zeros((2, 2)))
-    assert out.value == 0.5  # only row 0 qualifies
-    assert np.array_equal(out.dlogits[1], np.zeros(2))
-
-
 # --- feature store + median class centers ---------------------------------------------
 
 

@@ -1,4 +1,6 @@
 import concurrent.futures
+import dataclasses
+import itertools
 import json
 import math
 import multiprocessing
@@ -13,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltreflect import artifacts, cli, data, nn, reflect, trainer
 from ltreflect.errors import NumericError, ParameterError
@@ -49,11 +53,6 @@ def metrics_equal(a, b):
 
 
 # --- config validation ----------------------------------------------------------
-
-
-def test_config_rejects_kr_with_mse_ablation():
-    with pytest.raises(ParameterError):
-        trainer.TrainConfig(use_kr=True, use_mse_ablation=True)
 
 
 @pytest.mark.parametrize(
@@ -181,11 +180,10 @@ FULL_STACK = dict(use_kr=True, use_ks=True, use_kc=True)
         FULL_STACK,
         dict(FULL_STACK, ltr_loss="bsce"),
         dict(use_kr=True, use_ks=True),
-        dict(use_mse_ablation=True, use_ks=True, use_kc=True, lr=0.01),
         dict(FULL_STACK, sigma_aug=0.3),
         dict(hidden_dim=0, use_kr=True, use_kc=True),
     ],
-    ids=["ce", "bsce", "kr-ks", "mse-ks-kc", "sigma-aug", "linear-kr-kc"],
+    ids=["ce", "bsce", "kr-ks", "sigma-aug", "linear-kr-kc"],
 )
 def test_train_epoch_matches_the_serial_oracle_bitwise(kw):
     train, test, split = stock_sets()
@@ -203,16 +201,16 @@ def test_train_epoch_matches_the_serial_oracle_bitwise(kw):
 
 def test_run_set_matches_the_serial_oracle_per_run(tmp_path, monkeypatch):
     """One heterogeneous set, split into lockstep groups by everything but
-    the components and seed, each variant beside a sibling that differs in
-    those: every run ends where the serial oracle ends, bit for bit, and its
-    class_kl.csv rows equal the oracle's one kl_distill call per class."""
+    the LTR loss, the components and the seed, each variant beside a sibling
+    that differs in those (CE and BSCE runs share the first group): every
+    run ends where the serial oracle ends, bit for bit, and its class_kl.csv
+    rows equal the oracle's one kl_distill call per class."""
     train, test, split = stock_sets()
     train_path = tmp_path / "stock.ltds"
     data.save_dataset(train, train_path)
     data.save_dataset(test, trainer.default_test_path(train_path))
     base = trainer.TrainConfig(alpha=0.95, epochs=3)
     bsce = replace(base, ltr_loss="bsce")
-    mse = replace(base, use_mse_ablation=True, lr=0.01)
     aug = replace(base, sigma_aug=0.3)
     tuned = replace(base, alpha=0.8, lr=0.03, tau=3.0, momentum=0.5)
     linear = replace(base, hidden_dim=0)
@@ -220,11 +218,10 @@ def test_run_set_matches_the_serial_oracle_per_run(tmp_path, monkeypatch):
     cfgs = [
         base, replace(base, **FULL_STACK), replace(base, use_kr=True, seed=2),
         bsce, replace(bsce, **FULL_STACK, seed=1),
-        replace(mse, use_ks=True, use_kc=True), replace(mse, seed=4),
         replace(aug, **FULL_STACK), replace(aug, seed=1),
         replace(tuned, **FULL_STACK, seed=5), replace(tuned, use_kr=True, seed=6),
-        replace(linear, use_kr=True, use_kc=True), replace(linear, use_kc=True, seed=1),
-        replace(short, **FULL_STACK), replace(short, use_ks=True, seed=3),
+        replace(linear, use_kr=True, use_kc=True), replace(linear, use_kc=True, seed=1, ltr_loss="bsce"),
+        replace(short, **FULL_STACK), replace(short, use_ks=True, seed=3, ltr_loss="bsce"),
     ]
     monkeypatch.setattr(trainer, "_cpus", lambda: 1)  # train_group is recorded in this process
     groups = []
@@ -237,7 +234,7 @@ def test_run_set_matches_the_serial_oracle_per_run(tmp_path, monkeypatch):
 
     monkeypatch.setattr(trainer, "train_group", recording_group)
     trainer.run_set([(cfg, tmp_path / str(i)) for i, cfg in enumerate(cfgs)], train_path)
-    assert [len(group_cfgs) for group_cfgs, _ in groups] == [3, 2, 2, 2, 2, 2, 2]
+    assert [len(group_cfgs) for group_cfgs, _ in groups] == [5, 2, 2, 2, 2]
     for group_cfgs, (state, histories, kl_rows) in groups:
         for s, cfg in enumerate(group_cfgs):
             params, velocity, history, soft_labels, kl_expected = serial_run(cfg, train, test, split)
@@ -278,23 +275,6 @@ def test_full_stack_epoch_runs_one_backward_per_batch(monkeypatch):
 # --- loss bookkeeping ----------------------------------------------------------------
 
 
-def test_mse_ablation_replaces_the_review_divergence():
-    train, test, split = tiny_sets()
-    kr_cfg = tiny_cfg(use_kr=True, epochs=3)
-    mse_cfg = tiny_cfg(use_mse_ablation=True, epochs=3)
-
-    def second_epoch_aux(cfg):
-        state = trainer.init_state([cfg], train)
-        state, _ = trainer.train_epoch(state, train)
-        state, (m,) = trainer.train_epoch(state, train)
-        return m.loss_kr
-
-    kr_val = second_epoch_aux(kr_cfg)
-    mse_val = second_epoch_aux(mse_cfg)
-    assert kr_val > 0.0 and mse_val > 0.0
-    assert kr_val != mse_val  # different matching functions, same filter
-
-
 def test_a_diverging_run_aborts_its_group_unwritten(tmp_path):
     """The first non-finite loss aborts the group; with more than one run
     the message names the run's directory, and no run of the group is
@@ -314,7 +294,7 @@ def test_a_diverging_run_aborts_its_group_unwritten(tmp_path):
     trainer.run_experiment(ok, train_path, tmp_path / "ok")  # the plain run trains alone
 
 
-def test_runs_share_a_group_exactly_when_they_differ_only_in_components_and_seed():
+def test_runs_share_a_group_exactly_when_they_differ_only_in_loss_components_and_seed():
     train, test, _ = tiny_sets()
     base = trainer.TrainConfig()
     # another valid value of every field: (v + 1) / 2 keeps each float field in range
@@ -323,7 +303,7 @@ def test_runs_share_a_group_exactly_when_they_differ_only_in_components_and_seed
     for _, name, kind, _ in trainer.TRAIN_FLAGS:
         pair = [base, replace(base, **{name: other[kind](getattr(base, name))})]
         assert pair[0] != pair[1], name
-        if name in ("use_kr", "use_ks", "use_kc", "seed"):
+        if name in ("ltr_loss", "use_kr", "use_ks", "use_kc", "seed"):
             assert trainer.lockstep_groups(pair, train, test) == [[0, 1]], name
             assert trainer.init_state(pair, train).cfgs == pair
         else:
@@ -368,7 +348,7 @@ def test_a_set_split_by_the_memory_budget_writes_the_same_files(tmp_path, monkey
 
 def test_non_finite_loss_aborts_with_diagnostic():
     train, test, split = tiny_sets()
-    cfg = tiny_cfg(use_mse_ablation=True, lr=1e30, epochs=4)
+    cfg = tiny_cfg(use_kr=True, lr=1e30, epochs=4)
     state = trainer.init_state([cfg], train)
     with pytest.raises(NumericError):
         for _ in range(cfg.epochs):
@@ -793,3 +773,112 @@ def test_a_one_lane_set_imports_neither_multiprocessing_nor_concurrent_futures(t
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_mixed_loss_group_matches_the_serial_oracle_on_any_lane_count(tmp_path, monkeypatch, cpus):
+    """CE and BSCE runs of one config train as one lockstep group, whole on
+    one lane or cut across two, and each run's files are the serial
+    oracle's, byte for byte."""
+    train_path = write_tiny_pair(tmp_path).resolve()
+    train, test, split = tiny_sets()
+    cfgs = [tiny_cfg(ltr_loss=loss, seed=seed, **kw) for loss, seed, kw in (
+        ("ce", 0, {}), ("bsce", 1, FULL_STACK), ("ce", 2, FULL_STACK),
+        ("bsce", 3, dict(use_kr=True)), ("bsce", 4, {}), ("ce", 5, dict(use_ks=True, use_kc=True)))]
+    assert trainer.lockstep_groups(cfgs, train, test) == [list(range(len(cfgs)))]
+    error, files, pools = run_on_lanes(tmp_path, monkeypatch, cpus, cfgs, train_path)
+    assert error is None and pools == [1] * (cpus - 1)
+    for i, cfg in enumerate(cfgs):
+        _, _, history, soft_labels, kl_rows = serial_run(cfg, train, test, split)
+        oracle = tmp_path / "oracle" / str(i)
+        oracle.mkdir(parents=True)
+        trainer.write_metrics_csv(oracle / "metrics.csv", history)
+        reflect.write_class_kl_series(oracle / "class_kl.csv", kl_rows)
+        reflect.write_matrix_csv(oracle / "similarity.csv", soft_labels.M)
+        for name in ("metrics.csv", "class_kl.csv", "similarity.csv"):
+            assert files[f"run{i}/{name}"] == (oracle / name).read_bytes(), (i, name)
+
+
+# --- generated run sets ----------------------------------------------------------------
+
+# The values a TrainConfig field is drawn from. A bool field missing here is
+# drawn on or off, any other keeps its default: a new field is drawn with no
+# edit. tau 1e300 makes a KR run diverge.
+FIELD_VALUES = {
+    "ltr_loss": trainer.LTR_LOSSES,
+    "tau": (2.0, 5.0, 1e300),
+    "alpha": (0.0, 0.9, 1.0),
+    "epochs": (1, 2, 3),
+    "batch_size": (1, 3, 7, 16, 200),
+    "lr": (0.05, 0.3),
+    "momentum": (0.0, 0.9),
+    "sigma_aug": (0.0, 0.3),
+    "seed": (0, 1, 2, 3),
+    "hidden_dim": (0, 4),
+}
+FIELDS = {f.name: FIELD_VALUES.get(f.name, (False, True) if isinstance(f.default, bool) else (f.default,))
+          for f in dataclasses.fields(trainer.TrainConfig)}
+# The fields that may differ inside a lockstep group, drawn per run; the others once per set.
+PER_RUN = [name for name, values in FIELDS.items()
+           if len({trainer.group_key(replace(trainer.TrainConfig(), **{name: v})) for v in values}) == 1]
+
+
+def valid(kw) -> bool:
+    try:
+        trainer.TrainConfig(**kw)
+    except ParameterError:
+        return False
+    return True
+
+
+@st.composite
+def run_sets(draw):
+    """(tiny synth pair arguments, configs, CPUs, GROUP_BYTES) of one set."""
+    shared = {name: draw(st.sampled_from(values)) for name, values in FIELDS.items() if name not in PER_RUN}
+    per_run = st.fixed_dictionaries({name: st.sampled_from(FIELDS[name]) for name in PER_RUN})
+    runs = draw(st.lists(per_run.map(lambda kw: {**shared, **kw}).filter(valid), min_size=2, max_size=6))
+    pair = dict(classes=draw(st.integers(2, 5)), n_max=draw(st.integers(4, 30)), dim=draw(st.integers(2, 6)),
+                imbalance=draw(st.sampled_from([1.0, 2.0, 4.0])), test_size=draw(st.integers(1, 5)),
+                seed=draw(st.integers(0, 3)))
+    budget = draw(st.sampled_from([trainer.GROUP_BYTES, 1, 4000]))
+    return pair, [trainer.TrainConfig(**kw) for kw in runs], draw(st.integers(1, 3)), budget
+
+
+def test_generated_run_sets_write_what_each_run_writes_alone(tmp_path, monkeypatch):
+    """Random sets of runs on random tiny pairs, on 1-3 lanes and three group
+    budgets: each run's files equal the same run's alone at one lane, under
+    the same relative --out in another directory (so config.echo and
+    summary.json compare too). A set that diverges raises what one lane
+    raises and writes what one lane writes, and no set leaves a child."""
+    serial = itertools.count()
+    default_budget = trainer.GROUP_BYTES
+
+    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @given(run_sets())
+    def check(drawn):
+        pair, cfgs, cpus, budget = drawn
+        root = tmp_path / f"e{next(serial)}"
+        counts = data.longtail_counts(pair["classes"], pair["n_max"], pair["imbalance"])
+        train = data.synth_gaussians(pair["classes"], pair["dim"], counts, 3.0, 1.0, seed=pair["seed"])
+        test = data.synth_gaussians(pair["classes"], pair["dim"], np.full(pair["classes"], pair["test_size"]),
+                                    3.0, 1.0, seed=pair["seed"], noise_seed=pair["seed"] + 1)
+        train_path = root / "pair" / "d.ltds"
+        train_path.parent.mkdir(parents=True)
+        data.save_dataset(train, train_path)
+        data.save_dataset(test, trainer.default_test_path(train_path))
+        monkeypatch.setattr(trainer, "GROUP_BYTES", budget)
+        error, files, _ = run_on_lanes(root, monkeypatch, cpus, cfgs, train_path)
+        if error is not None:
+            if cpus > 1:
+                assert run_on_lanes(root, monkeypatch, 1, cfgs, train_path)[:2] == (error, files)
+            return
+        monkeypatch.setattr(trainer, "GROUP_BYTES", default_budget)
+        monkeypatch.setattr(trainer, "_cpus", lambda: 1)
+        alone = root / "alone"
+        alone.mkdir()
+        monkeypatch.chdir(alone)
+        for i, cfg in enumerate(cfgs):
+            trainer.run_experiment(cfg, train_path, f"run{i}")
+        assert tree(alone) == files
+
+    check()
