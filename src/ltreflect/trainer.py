@@ -9,7 +9,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import math
 import os
 import shlex
 from dataclasses import asdict, astuple, dataclass, field, replace
@@ -152,6 +151,8 @@ class EpochMetrics:
 #   order, never `np.add.reduceat` or `np.bincount(weights=...)`: so
 #   `reflect.per_class_adjacent_kl` takes every test row's KL in one pass
 #   and each class's mean equals `kl_distill` on that class's rows alone.
+# - The step adds the loss ledger's [S, 3] values into float64 sums: the
+#   serial loop's own float add, and a 0.0 term leaves a 0.0 sum as it is.
 # - Writing through `.reshape(-1, C)` of a strided `g[:, 0]` view silently
 #   writes to a copy: the losses write only into arrays they allocated.
 
@@ -190,7 +191,6 @@ class GroupLayout:
     kr: slice | np.ndarray | None
     ks: slice | np.ndarray | None
     aux: slice | np.ndarray | None  # runs with an auxiliary gradient once epoch 0 is done
-    no_aux: slice | np.ndarray | None
     kc: list[int]  # aux runs that project
     kr_rows: np.ndarray | None  # [S_kr, 1] cache row offset of each KR run
     ks_rows: np.ndarray | None  # [S_ks, 1] row offset of each KS run's soft targets
@@ -209,7 +209,6 @@ class GroupLayout:
             kr=_subset(kr),
             ks=_subset(ks),
             aux=_subset(aux),
-            no_aux=_subset(~aux),
             kc=np.flatnonzero(flags("use_kc") & aux).tolist(),
             kr_rows=_offsets(kr.sum(), dataset.num_samples),
             ks_rows=_offsets(ks.sum(), dataset.num_classes),
@@ -278,58 +277,44 @@ def _rows(indices, runs, offsets):
     return indices[runs] if offsets is None else indices[runs] + offsets
 
 
+LOSS_NAMES = ("ltr", "kr", "ks")
+
+
 def assemble_batch_losses(
     state: TrainerState,
     logits: np.ndarray,
     indices: np.ndarray,
     labels: np.ndarray,
-) -> list[tuple[str, slice | np.ndarray, losses.LossOutput]]:
-    """(name, runs, loss) terms of one lockstep batch: the LTR loss of every
-    run, then KR and KS on their runs. The warm-up epoch has neither a
-    prediction cache nor soft labels, so no regularizer contributes
-    anything. The LTR loss is CE on the logits plus the group's shift; with
-    KS on and no shift, CE and soft_ce share one log-softmax of the logits."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The loss ledger of one lockstep batch, (values, dlogits). `values` is
+    [S, 3]: each run's losses in LOSS_NAMES order, 0.0 where it has no such
+    term. `dlogits` is the task logit-gradients [S, B, C]; once epoch 0 is
+    done in a group with KR or KS, the stack [S, 2, B, C] of task and
+    auxiliary ones (KR, then KS, summed into zero rows). The warm-up epoch
+    has neither a prediction cache nor soft labels, so no regularizer
+    contributes anything. The LTR loss is CE on the logits plus the group's
+    shift; with KS on and no shift, CE and soft_ce share one log-softmax."""
     lay, cfg = state.layout, state.cfgs[0]
     active = state.epoch > 0
     raw = losses.log_softmax(logits) if active and lay.ks is not None else None
     ltr = (losses.ce_loss(logits, labels, raw) if lay.shift is None
            else losses.ce_loss(logits + lay.shift, labels))
-    terms = [("ltr", slice(None), ltr)]
-    if not active:
-        return terms
+    values = np.zeros((len(state.cfgs), len(LOSS_NAMES)))
+    values[:, 0] = ltr.value
+    if not active or lay.aux is None:
+        return values, ltr.dlogits
+    dlogits = np.zeros((*ltr.dlogits.shape[:-2], 2, *ltr.dlogits.shape[-2:]))
+    dlogits[:, 0] = ltr.dlogits
     if lay.kr is not None:
-        rows = _rows(indices, lay.kr, lay.kr_rows)
-        terms.append(("kr", lay.kr, reflect.kr_batch_loss(state.cache, rows, logits[lay.kr], cfg.tau)))
+        kr = reflect.kr_batch_loss(state.cache, _rows(indices, lay.kr, lay.kr_rows), logits[lay.kr], cfg.tau)
+        values[lay.kr, 1] = kr.value
+        _add(dlogits[:, 1], lay.kr, kr.dlogits)
     if lay.ks is not None:
         targets = state.y_hat[_rows(labels, lay.ks, lay.ks_rows)]
-        raw = tuple(part[lay.ks] for part in raw)
-        terms.append(("ks", lay.ks, losses.soft_ce(logits[lay.ks], targets, raw)))
-    return terms
-
-
-LOSS_NAMES = ("ltr", "kr", "ks")
-
-
-def _check_finite(terms, num_runs: int, epoch: int, batch: int) -> None:
-    """Raises for the first non-finite loss of a batch in (run, ltr/kr/ks) order."""
-    finite = np.ones((num_runs, len(LOSS_NAMES)), dtype=bool)
-    for name, runs, out in terms:
-        finite[runs, LOSS_NAMES.index(name)] = np.isfinite(out.value)
-    run, which = np.argwhere(~finite)[0]
-    raise NumericError(f"non-finite {LOSS_NAMES[which]} loss at epoch {epoch}, batch {batch}", run=int(run))
-
-
-def _logit_gradients(terms, aux):
-    """The task logit-gradients [S, B, C]; with auxiliary runs, the stack
-    [S, 2, B, C] of task and auxiliary ones (zero rows for runs without)."""
-    task = terms[0][2].dlogits
-    if aux is None:
-        return task
-    stack = np.zeros((*task.shape[:-2], 2, *task.shape[-2:]))
-    stack[..., 0, :, :] = task
-    for _, runs, out in terms[1:]:
-        _add(stack[..., 1, :, :], runs, out.dlogits)
-    return stack
+        ks = losses.soft_ce(logits[lay.ks], targets, tuple(part[lay.ks] for part in raw))
+        values[lay.ks, 2] = ks.value
+        _add(dlogits[:, 1], lay.ks, ks.dlogits)
+    return values, dlogits
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -346,8 +331,9 @@ def train_epoch(
     the final epoch (whose similarity matrix the run directory holds). The
     metrics, one per run, carry the losses and conflict rates; run_set adds
     the accuracies. `on_step` gets each run's gradients after every step.
-    Floating-point warnings are off: a non-finite loss (`_check_finite`,
-    which names its run) or gradient (`nn.sgd_step`) raises instead."""
+    Floating-point warnings are off: a non-finite loss raises instead,
+    naming the first in (run, ltr/kr/ks) order, as does a non-finite
+    gradient (`nn.sgd_step`)."""
     lay, cfg = state.layout, state.cfgs[0]
     num_runs, n = len(state.cfgs), dataset.num_samples
     lr = cfg.lr * (1.0 - state.epoch / cfg.epochs)
@@ -372,10 +358,9 @@ def train_epoch(
     spans = state.params.layer_spans()
     starts = np.array([start for _, start, _ in spans])
     layer_hits = np.zeros((num_runs, len(spans)))
-    # per-run running loss sums as Python floats: a float add is the serial loop's own
-    sums = {name: [0.0] * num_runs for name in LOSS_NAMES}
+    sums = np.zeros((num_runs, len(LOSS_NAMES)))
     conflict_sums = np.zeros(num_runs)
-    batches = aux_batches = 0
+    batches = 0
 
     for start in range(0, n, cfg.batch_size):
         idx = orders[:, start : start + cfg.batch_size]
@@ -386,17 +371,15 @@ def train_epoch(
             x = data.augment(dataset.features[idx], 0.0, None)
         y = dataset.labels[idx]
         rec = nn.forward(state.params, x)
-        terms = assemble_batch_losses(state, rec.logits, idx, y)
-        finite = True
-        for name, runs, out in terms:
-            total = sums[name]
-            for s, value in zip(range(num_runs) if isinstance(runs, slice) else runs, out.value.tolist()):
-                total[s] += value
-                finite &= math.isfinite(value)
-        if not finite:
-            _check_finite(terms, num_runs, state.epoch, batches)
+        values, dlogits = assemble_batch_losses(state, rec.logits, idx, y)
+        sums += values
+        if not np.isfinite(values).all():
+            run, which = np.argwhere(~np.isfinite(values))[0]
+            raise NumericError(
+                f"non-finite {LOSS_NAMES[which]} loss at epoch {state.epoch}, batch {batches}", run=int(run)
+            )
 
-        grads = nn.backward(state.params, rec, _logit_gradients(terms, aux))
+        grads = nn.backward(state.params, rec, dlogits)
         if aux is None:
             g_ltr = g_update = grads
             g_aux = None
@@ -405,10 +388,8 @@ def train_epoch(
             flags = conflict.conflict_stats(g_ltr[aux], g_aux[aux], starts)
             _add(layer_hits, aux, flags)
             _add(conflict_sums, aux, flags.sum(axis=-1) / flags.shape[-1])
-            aux_batches += 1
-            g_update = g_ltr + g_aux
-            if lay.no_aux is not None:
-                g_update[lay.no_aux] = g_ltr[lay.no_aux]
+            g_update = g_ltr.copy()
+            _add(g_update, aux, g_aux[aux])
             for s in lay.kc:
                 # without a conflict the projection is g_aux + g_ltr: the row holds it
                 projected, conflicted = conflict.project_if_conflict(grads[s, 0], grads[s, 1])
@@ -445,12 +426,10 @@ def train_epoch(
     metrics = [
         EpochMetrics(
             epoch=state.epoch,
-            loss_ltr=sums["ltr"][s] / batches,
-            loss_kr=sums["kr"][s] / batches,
-            loss_ks=sums["ks"][s] / batches,
-            conflict_fraction=float(conflict_sums[s] / aux_batches) if has_aux[s] else 0.0,
+            **{f"loss_{name}": float(sums[s, k]) / batches for k, name in enumerate(LOSS_NAMES)},
+            conflict_fraction=float(conflict_sums[s] / batches) if has_aux[s] else 0.0,
             layer_conflict_rates=(
-                {name: float(hits / aux_batches) for (name, _, _), hits in zip(spans, layer_hits[s])}
+                {name: float(hits / batches) for (name, _, _), hits in zip(spans, layer_hits[s])}
                 if has_aux[s]
                 else {}
             ),
@@ -625,12 +604,11 @@ def _parts(groups, cpus: int) -> list[tuple[int, list[int]]]:
     return parts
 
 
-@_one_blas_thread()
 def _train_part(cfgs, train: data.Dataset, test: data.Dataset, split):
     """Trains the runs of one part as one lockstep group and returns what
     their files need: each run's history, per-class KL rows and similarity
-    matrix. Small enough to send back from a worker lane, which pins its own
-    OpenBLAS like the calling process."""
+    matrix. Small enough to send back from a worker lane, which is forked
+    inside `run_set`'s pinned block and so runs at its one BLAS thread."""
     state, histories, kl_rows = train_group(cfgs, train, test, split)
     return histories, kl_rows, [labels.M for labels in state.soft_labels]
 

@@ -1,8 +1,8 @@
 """The CLI's contract under generated flag values: every exit is 0, 1 or 2,
 no exception leaves `cli.main`, no warning is raised, a failure prints one
-stderr line, and a usage error writes nothing. The strategies are built
-from `trainer.TRAIN_FLAGS` and `cli.SYNTH_FLAGS`, so a new flag is fuzzed
-with no edit here.
+stderr line, and a usage error writes nothing. The `train`, `ablate` and
+`synth` strategies are built from `trainer.TRAIN_FLAGS` and
+`cli.SYNTH_FLAGS`, so a new flag is fuzzed with no edit here.
 """
 
 import collections
@@ -46,9 +46,12 @@ def argv_of(rows):
 SYNTH_ROWS = [row[:4] for row in cli.SYNTH_FLAGS]
 TRAIN_ROWS = [(flag, dest, kind, getattr(trainer.TrainConfig(), dest))
               for flag, dest, kind, _ in trainer.TRAIN_FLAGS]
+# `ablate` takes no component switches, and its seeds start at one per cell
+ABLATE_ROWS = [row for row in TRAIN_ROWS if row[2] is not bool] + [("--seeds", "seeds", int, 1)]
 COMMANDS = st.one_of(
     argv_of(TRAIN_ROWS).map(lambda argv: ("train", argv)),
     argv_of(SYNTH_ROWS).map(lambda argv: ("synth", argv)),
+    argv_of(ABLATE_ROWS).map(lambda argv: ("ablate", argv)),
 )
 
 
@@ -62,7 +65,8 @@ def main_quietly(argv):
     return code, stderr.getvalue().splitlines(), [str(w.message) for w in caught]
 
 
-def test_every_generated_command_keeps_the_cli_contract(tmp_path):
+def test_every_generated_command_keeps_the_cli_contract(tmp_path, monkeypatch):
+    monkeypatch.setattr(trainer, "_cpus", lambda: 1)  # an ablate grid forks no worker
     pair = tmp_path / "pair" / "tiny.ltds"
     synth = [f"{flag}={BASE.get(dest, default)}" for flag, dest, _, default in SYNTH_ROWS]
     assert main_quietly(["synth", *synth, "--out", str(pair)]) == (0, [], [])

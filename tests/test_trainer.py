@@ -145,7 +145,7 @@ def recording(monkeypatch, module, name):
     return calls
 
 
-def test_no_prediction_cache_without_kr_or_mse_ablation(monkeypatch):
+def test_no_prediction_cache_without_kr(monkeypatch):
     train, test, split = tiny_sets()
     calls = recording(monkeypatch, reflect, "cache_update")
     cfg = tiny_cfg(use_ks=True, use_kc=True, epochs=3)
@@ -292,6 +292,54 @@ def test_a_diverging_run_aborts_its_group_unwritten(tmp_path):
     assert str(in_set.value) == f"{alone.value} in run {tmp_path / 'bad'}"
     assert not any(path.exists() for path in (tmp_path / "alone", tmp_path / "ok", tmp_path / "bad"))
     trainer.run_experiment(ok, train_path, tmp_path / "ok")  # the plain run trains alone
+
+
+ASSEMBLE = trainer.assemble_batch_losses
+
+
+def nan_ledger(monkeypatch, cells, epoch=1, batch=2):
+    """Wraps `trainer.assemble_batch_losses`: at that batch of that epoch,
+    the ledger's `(run, loss name)` cells read NaN."""
+    epochs = []
+
+    def poisoned(state, *args):
+        values, dlogits = ASSEMBLE(state, *args)
+        epochs.append(state.epoch)
+        if state.epoch == epoch and epochs.count(epoch) == batch + 1:
+            for run, name in cells:
+                values[run, trainer.LOSS_NAMES.index(name)] = np.nan
+        return values, dlogits
+
+    monkeypatch.setattr(trainer, "assemble_batch_losses", poisoned)
+
+
+@pytest.mark.parametrize("cells, name", [
+    ([(1, "ltr"), (0, "ks")], "ks"),  # the earlier run first
+    ([(0, "ks"), (0, "kr")], "kr"),  # then ltr, kr, ks within a run
+], ids=["by-run", "by-loss"])
+def test_a_batchs_first_non_finite_loss_in_run_then_loss_order_is_reported(
+    tmp_path, monkeypatch, cells, name
+):
+    """NaN ledger cells at one batch of a 2-run group: the error names the
+    first in (run, ltr/kr/ks) order and its run; through run_set it names
+    that run's directory, and no run of the group is written."""
+    cfgs = [tiny_cfg(**FULL_STACK), tiny_cfg(seed=4)]
+    message = f"non-finite {name} loss at epoch 1, batch 2"
+    train, _, _ = tiny_sets()
+    nan_ledger(monkeypatch, cells)
+    state = trainer.init_state(cfgs, train)
+    with pytest.raises(NumericError) as raised:
+        for _ in range(cfgs[0].epochs):
+            state, _ = trainer.train_epoch(state, train)
+    assert (str(raised.value), raised.value.run) == (message, 0)
+
+    nan_ledger(monkeypatch, cells)
+    monkeypatch.setattr(trainer, "_cpus", lambda: 1)  # the group trains uncut
+    runs = [(cfg, tmp_path / f"run{i}") for i, cfg in enumerate(cfgs)]
+    with pytest.raises(NumericError) as raised:
+        trainer.run_set(runs, write_tiny_pair(tmp_path))
+    assert str(raised.value) == f"{message} in run {tmp_path / 'run0'}"
+    assert not any(out.exists() for _, out in runs)
 
 
 def test_runs_share_a_group_exactly_when_they_differ_only_in_loss_components_and_seed():
@@ -561,21 +609,27 @@ def blas_threads():
 
 
 @needs_openblas
+@pytest.mark.parametrize("lanes", [1, 2])
 def test_run_set_trains_at_one_blas_thread_and_restores_the_callers_count(
-    tmp_path, monkeypatch, blas_threads
+    tmp_path, monkeypatch, blas_threads, lanes
 ):
+    """Two groups; on two lanes the second trains on a forked worker. Each
+    process writes the thread count of every evaluation to its own file."""
     get, _ = blas_threads
     train_path = write_tiny_pair(tmp_path)
-    seen = []
     evaluate = trainer.evaluate
 
     def counting_evaluate(*args):
-        seen.append(get())
+        with open(tmp_path / f"threads-{os.getpid()}", "a") as fh:
+            fh.write(f"{get()}\n")
         return evaluate(*args)
 
+    monkeypatch.setattr(trainer, "_cpus", lambda: lanes)
     monkeypatch.setattr(trainer, "evaluate", counting_evaluate)
     trainer.run_set([(tiny_cfg(epochs=2), tmp_path / "a"), (tiny_cfg(seed=4), tmp_path / "b")], train_path)
-    assert seen and set(seen) == {1}
+    counts = {path.name: set(path.read_text().split()) for path in tmp_path.glob("threads-*")}
+    assert len(counts) == lanes and f"threads-{os.getpid()}" in counts
+    assert all(seen == {"1"} for seen in counts.values()), counts
     assert get() == 2
 
 
