@@ -159,6 +159,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    if args.seeds < 1:
+        raise ParameterError(f"--seeds must be >= 1, got {args.seeds}")
     base = _config_from_args(args)
     seeds = [base.seed + i for i in range(args.seeds)]
     rows = trainer.run_ablation_grid(

@@ -126,11 +126,17 @@ def forward(params: ModelParams, batch) -> ForwardRecord:
         )
     # a stack's weights transpose per model and its biases broadcast over each batch
     layers = [(w.swapaxes(-1, -2), b[:, None]) if lead else (w.T, b) for w, b in params.layers]
+    # bias add and ReLU run in place on the matmul outputs only: never on x or a
+    # parameter view; np.maximum keeps 0.0 first, which decides -0.0 and NaN
     features = x
     if len(layers) == 2:
-        features = np.maximum(0.0, x @ layers[0][0] + layers[0][1])
+        features = x @ layers[0][0]
+        features += layers[0][1]
+        np.maximum(0.0, features, out=features)
     w, b = layers[-1]
-    return ForwardRecord(inputs=x, features=features, logits=features @ w + b)
+    logits = features @ w
+    logits += b
+    return ForwardRecord(inputs=x, features=features, logits=logits)
 
 
 def backward(params: ModelParams, record: ForwardRecord, dloss_dlogits) -> np.ndarray:

@@ -155,6 +155,9 @@ class EpochMetrics:
 #   serial loop's own float add, and a 0.0 term leaves a 0.0 sum as it is.
 # - Writing through `.reshape(-1, C)` of a strided `g[:, 0]` view silently
 #   writes to a copy: the losses write only into arrays they allocated.
+# - `nn.forward` adds its biases and applies `np.maximum(0.0, h, out=h)` in
+#   place on the matmul outputs it allocated: the same ufuncs on the same
+#   operands in the same order, so the bits match the out-of-place forward.
 
 
 def group_key(cfg: TrainConfig) -> tuple:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import shlex
 import struct
@@ -69,10 +70,14 @@ def test_ks_on_a_linear_model_is_usage_error(tmp_path, capsys):
     assert not run_dir.exists() and not grid.exists()
 
 
-def test_ablate_without_seeds_is_usage_error(tmp_path):
+@pytest.mark.parametrize("seeds", [0, -1])
+def test_ablate_without_seeds_is_usage_error(tmp_path, capsys, seeds):
     path = synth_tiny(tmp_path)
+    capsys.readouterr()
     grid = tmp_path / "grid"
-    assert run(["ablate", "--data", str(path), "--out", str(grid), "--seeds", "0"]) == 2
+    assert run(["ablate", "--data", str(path), "--out", str(grid), f"--seeds={seeds}"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"usage error: --seeds must be >= 1, got {seeds}"]
     assert not grid.exists()
 
 
@@ -183,6 +188,29 @@ def test_synth_echo_reproduces_the_files(tmp_path, capsys):
     for a, b in ((first, second), (trainer.default_test_path(first),
                                    trainer.default_test_path(second))):
         assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of each set's train and test files, so that how synth draws and writes
+# a set cannot change its bytes; the wide set spans six data.SYNTH_BLOCK_ROWS blocks
+SYNTH_PINS = [
+    ("--seed 0",
+     "a1e16b91d2a7bfe83c6b35b4181d0574bb09d3ba5966d583ae9754f882136903",
+     "86b58488f9ccdde9cb27c656f362ba5d20e2682537ddb1931de8b5014de6db47"),
+    ("--classes 100 --dim 64 --n-max 1000 --pairs 10 --seed 1",
+     "9681b5c6a24c4389028ebf8562dc350b00fa7e70f6b8cb9465a231466947b28b",
+     "a7ca9b160c85b92c9771085c9457d950fc411b1af12577331af720b9b31c0697"),
+    ("--noise 0 --seed 3",
+     "b2f64024a51fe408a952d7b254dc5855d18e57c4a44b1ed924cc67340e2b3104",
+     "4f62bdf3eb70be8863f80274a92692c23de5dc91d22682c8681325a26d62ba24"),
+]
+
+
+def test_synth_files_keep_their_bytes(tmp_path):
+    for i, (flags, train_sha, test_sha) in enumerate(SYNTH_PINS):
+        out = tmp_path / str(i) / "train.ltds"
+        assert run(["synth", *flags.split(), "--out", str(out)]) == 0
+        assert [hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in (out, trainer.default_test_path(out))] == [train_sha, test_sha], flags
 
 
 def test_synth_writes_long_tail_pair(tmp_path):

@@ -35,14 +35,31 @@ def test_forward_hand_computed():
     assert np.array_equal(rec.logits, [[4.0, 5.0]])
 
 
-def test_forward_is_pure():
+@pytest.mark.parametrize("stack", [0, 3])
+@pytest.mark.parametrize("hidden", [0, 5])
+def test_forward_is_pure(stack, hidden):
+    """The forward writes only the arrays it allocates, and its in-place bias
+    add and ReLU give the bits of the written-out expression, on a batch with
+    an all-zero row and a NaN row."""
     rng = np.random.default_rng(1)
-    params = nn.init_params(4, 3, 5, rng)
-    batch = rng.normal(size=(6, 4))
-    a = nn.forward(params, batch)
-    b = nn.forward(params, batch)
-    assert np.array_equal(a.logits, b.logits)
-    assert np.array_equal(a.features, b.features)
+    models = [nn.init_params(4, 3, hidden, rng) for _ in range(max(stack, 1))]
+    params = nn.stack_params(models) if stack else models[0]
+    batch = rng.normal(size=(*([stack] if stack else []), 6, 4))
+    batch[..., 1, :] = 0.0
+    batch[..., 4, 2] = np.nan
+    batch_before, flat_before = batch.tobytes(), params.flat.tobytes()
+    rec = nn.forward(params, batch)
+    assert batch.tobytes() == batch_before and params.flat.tobytes() == flat_before
+    for s, model in enumerate(models):
+        x = batch[s] if stack else batch
+        features, logits = (rec.features[s], rec.logits[s]) if stack else (rec.features, rec.logits)
+        want = x
+        if hidden:
+            (w0, b0), _ = model.layers
+            want = np.maximum(0.0, x @ w0.T + b0)
+        w1, b1 = model.layers[-1]
+        assert features.tobytes() == want.tobytes()
+        assert logits.tobytes() == (want @ w1.T + b1).tobytes()
 
 
 def test_forward_rejects_bad_width():
