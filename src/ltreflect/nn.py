@@ -1,5 +1,5 @@
-"""Minimal dense classifiers: linear (one layer) or one hidden rectifier
-layer (two layers); the number of layers decides the path.
+"""A minimal dense classifier: one hidden rectifier layer, then a linear
+read-out to the logits (two layers).
 
 Every parameter lives in one flat float64 vector, `ModelParams.flat`, and
 each layer's (weight, bias) is a view into it, laid out in layer order
@@ -37,8 +37,8 @@ class ModelParams:
             (np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64))
             for w, b in self.layers
         ]
-        if len(self.layers) not in (1, 2):
-            raise DimensionError(f"a model has 1 or 2 layers, got {len(self.layers)}")
+        if len(self.layers) != 2:
+            raise DimensionError(f"a model has 2 layers, got {len(self.layers)}")
         lead = self.layers[0][0].shape[:-2]
         for w, b in self.layers:
             if w.ndim not in (2, 3) or w.shape[:-2] != lead or b.shape != w.shape[:-1]:
@@ -46,10 +46,9 @@ class ModelParams:
             if w.size == 0:
                 # per-layer sums over layer_spans() need every span non-empty
                 raise DimensionError(f"empty layer weight {w.shape}")
-        if len(self.layers) == 2:
-            (w0, _), (w1, _) = self.layers
-            if w1.shape[-1] != w0.shape[-2]:
-                raise DimensionError(f"layer input width {w1.shape[-1]} does not chain from {w0.shape[-2]}")
+        (w0, _), (w1, _) = self.layers
+        if w1.shape[-1] != w0.shape[-2]:
+            raise DimensionError(f"layer input width {w1.shape[-1]} does not chain from {w0.shape[-2]}")
         self.flat = np.concatenate(
             [np.concatenate([w.reshape(*lead, -1), b], axis=-1) for w, b in self.layers], axis=-1
         )
@@ -95,7 +94,7 @@ def stack_params(models: list[ModelParams]) -> ModelParams:
 @dataclass
 class ForwardRecord:
     inputs: np.ndarray  # [..., B, D], kept for the backward pass
-    features: np.ndarray  # [..., B, H] penultimate activations (the inputs when linear)
+    features: np.ndarray  # [..., B, H] hidden ReLU activations
     logits: np.ndarray  # [..., B, C]
 
 
@@ -103,7 +102,7 @@ def init_params(
     input_dim: int, num_classes: int, hidden_dim: int, rng: np.random.Generator
 ) -> ModelParams:
     """Fan-scaled uniform init: U(+-sqrt(6 / (fan_in + fan_out)))."""
-    dims = [input_dim, num_classes] if hidden_dim == 0 else [input_dim, hidden_dim, num_classes]
+    dims = [input_dim, hidden_dim, num_classes]
     layers = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
@@ -125,17 +124,14 @@ def forward(params: ModelParams, batch) -> ForwardRecord:
             f"batch has {x.shape[-1]} columns, model expects {params.input_dim}"
         )
     # a stack's weights transpose per model and its biases broadcast over each batch
-    layers = [(w.swapaxes(-1, -2), b[:, None]) if lead else (w.T, b) for w, b in params.layers]
+    (w0, b0), (w1, b1) = [(w.swapaxes(-1, -2), b[:, None]) if lead else (w.T, b) for w, b in params.layers]
     # bias add and ReLU run in place on the matmul outputs only: never on x or a
     # parameter view; np.maximum keeps 0.0 first, which decides -0.0 and NaN
-    features = x
-    if len(layers) == 2:
-        features = x @ layers[0][0]
-        features += layers[0][1]
-        np.maximum(0.0, features, out=features)
-    w, b = layers[-1]
-    logits = features @ w
-    logits += b
+    features = x @ w0
+    features += b0
+    np.maximum(0.0, features, out=features)
+    logits = features @ w1
+    logits += b1
     return ForwardRecord(inputs=x, features=features, logits=logits)
 
 
@@ -156,10 +152,9 @@ def backward(params: ModelParams, record: ForwardRecord, dloss_dlogits) -> np.nd
     if k and lead:
         # a K axis between the run axis and the batch: the model's arrays broadcast over it
         features, inputs, w = features[:, None], inputs[:, None], w[:, None]
-    grads = [(g.swapaxes(-1, -2) @ features, g.sum(axis=-2))]
-    if len(params.layers) == 2:
-        d_hidden = (g @ w) * (features > 0)
-        grads.insert(0, (d_hidden.swapaxes(-1, -2) @ inputs, d_hidden.sum(axis=-2)))
+    d_hidden = (g @ w) * (features > 0)
+    grads = [(d_hidden.swapaxes(-1, -2) @ inputs, d_hidden.sum(axis=-2)),
+             (g.swapaxes(-1, -2) @ features, g.sum(axis=-2))]
     stack = g.shape[:-2]
     return np.concatenate(
         [part for dw, db in grads for part in (dw.reshape(*stack, -1), db)], axis=-1

@@ -11,7 +11,7 @@ import ctypes
 import functools
 import os
 import shlex
-from dataclasses import asdict, astuple, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,19 +20,6 @@ from . import artifacts, conflict, data, losses, nn, reflect
 from .errors import DimensionError, NumericError, ParameterError
 
 LTR_LOSSES = ("ce", "bsce")
-
-METRIC_COLUMNS = [
-    "epoch",
-    "acc_all",
-    "acc_many",
-    "acc_medium",
-    "acc_few",
-    "loss_ltr",
-    "loss_kr",
-    "loss_ks",
-    "conflict_fraction",
-]
-
 
 @dataclass
 class TrainConfig:
@@ -48,7 +35,7 @@ class TrainConfig:
     momentum: float = 0.9
     sigma_aug: float = 0.0
     seed: int = 0
-    hidden_dim: int = 32  # 0 = linear classifier
+    hidden_dim: int = 32
 
     def __post_init__(self):
         for _, name, kind, _ in TRAIN_FLAGS:
@@ -60,8 +47,10 @@ class TrainConfig:
             raise ParameterError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.tau < 1.0:
             raise ParameterError(f"tau must be >= 1, got {self.tau}")
-        if self.epochs <= 0 or self.batch_size <= 0:
-            raise ParameterError("epochs and batch_size must be positive")
+        if self.epochs < 1:
+            raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr <= 0:
             raise ParameterError(f"lr must be positive, got {self.lr}")
         if not (0.0 <= self.momentum < 1.0):
@@ -70,11 +59,8 @@ class TrainConfig:
             raise ParameterError(f"sigma_aug must be >= 0, got {self.sigma_aug}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
-        if self.hidden_dim < 0:
-            raise ParameterError(f"hidden_dim must be >= 0, got {self.hidden_dim}")
-        if self.use_ks and self.hidden_dim == 0:
-            # a linear model's features are its signed inputs: soft labels can go negative
-            raise ParameterError("use_ks needs hidden_dim > 0")
+        if self.hidden_dim < 1:
+            raise ParameterError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
 
 
 # Every TrainConfig field as a `train` flag: (flag, field, type, help), in
@@ -92,7 +78,7 @@ TRAIN_FLAGS = (
     ("--momentum", "momentum", float, None),
     ("--seed", "seed", int, None),
     ("--sigma-aug", "sigma_aug", float, None),
-    ("--hidden", "hidden_dim", int, "hidden width (0 = linear model)"),
+    ("--hidden", "hidden_dim", int, "hidden width"),
 )
 
 
@@ -122,6 +108,10 @@ class EpochMetrics:
     loss_ks: float = 0.0
     conflict_fraction: float = 0.0
     layer_conflict_rates: dict[str, float] = field(default_factory=dict)
+
+
+# metrics.csv's columns and summary.json's "final" keys: every per-epoch scalar
+METRIC_COLUMNS = [f.name for f in fields(EpochMetrics) if f.name != "layer_conflict_rates"]
 
 
 # Lockstep groups. The runs of a group differ only in LTR loss, components
@@ -353,7 +343,7 @@ def train_epoch(
     store = store_rows = None
     if medians is not None:
         held = _size(medians, num_runs)
-        store = reflect.FeatureStore(held * n, state.params.layers[-1][0].shape[-1])
+        store = reflect.FeatureStore(held * n, cfg.hidden_dim)
         store_rows = _offsets(held, n)
     has_aux = np.zeros(num_runs, dtype=bool)
     if aux is not None:
@@ -505,8 +495,7 @@ def lockstep_groups(cfgs, train: data.Dataset, test: data.Dataset) -> list[list[
     n, c = train.num_samples, train.num_classes
     groups = []
     for members in by_key.values():
-        hidden = cfgs[members[0]].hidden_dim
-        per_run = 8 * (2 * n * c + n * (hidden or train.dim) + test.num_samples * c)
+        per_run = 8 * (2 * n * c + n * cfgs[members[0]].hidden_dim + test.num_samples * c)
         size = max(1, GROUP_BYTES // per_run)
         groups += [members[i : i + size] for i in range(0, len(members), size)]
     return groups

@@ -58,16 +58,16 @@ def test_non_finite_float_flag_is_usage_error(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
-def test_ks_on_a_linear_model_is_usage_error(tmp_path, capsys):
+def test_a_model_without_hidden_units_is_usage_error(tmp_path, capsys):
     path = synth_tiny(tmp_path)
     capsys.readouterr()
-    run_dir, grid = tmp_path / "run", tmp_path / "grid"
-    assert run(["train", "--data", str(path), "--out", str(run_dir), "--ks", "--hidden", "0"]) == 2
-    assert run(["ablate", "--data", str(path), "--out", str(grid), "--hidden", "0"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("usage error: use_ks needs hidden_dim > 0") == 2
-    assert not run_dir.exists() and not grid.exists()
+    for command in ("train", "ablate"):
+        out = tmp_path / command
+        assert run([command, "--data", str(path), "--out", str(out), "--hidden", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["usage error: hidden_dim must be >= 1, got 0"]
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("seeds", [0, -1])
@@ -261,7 +261,7 @@ NON_DEFAULT = {
     "momentum": 0.5,
     "sigma_aug": 0.3,
     "seed": 11,
-    "hidden_dim": 0,
+    "hidden_dim": 16,
 }
 
 

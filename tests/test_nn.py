@@ -9,34 +9,31 @@ from ltreflect.errors import DimensionError, NumericError
 from oracles import fd_grad_params, max_rel_err
 
 
-def linear_model(weight, bias):
-    return nn.ModelParams(layers=[(np.asarray(weight, float), np.asarray(bias, float))])
+def two_layer_model(w0, b0, w1, b1):
+    return nn.ModelParams(
+        layers=[(np.asarray(w, float), np.asarray(b, float)) for w, b in ((w0, b0), (w1, b1))]
+    )
 
 
 # --- forward ------------------------------------------------------------------
 
 
 def test_forward_zero_map():
-    params = linear_model(np.zeros((3, 2)), np.zeros(3))
+    params = two_layer_model(np.zeros((5, 2)), np.zeros(5), np.zeros((3, 5)), np.zeros(3))
     rec = nn.forward(params, np.random.default_rng(0).normal(size=(4, 2)))
+    assert np.array_equal(rec.features, np.zeros((4, 5)))
     assert np.array_equal(rec.logits, np.zeros((4, 3)))
 
 
-def test_forward_identity_linear():
-    params = linear_model(np.eye(2), np.zeros(2))
-    rec = nn.forward(params, np.array([[1.0, 2.0]]))
-    assert np.array_equal(rec.logits, [[1.0, 2.0]])
-    assert np.array_equal(rec.features, [[1.0, 2.0]])  # linear: features are inputs
-
-
 def test_forward_hand_computed():
-    params = linear_model([[1.0, 0.0], [0.0, 2.0]], [1.0, -1.0])
+    params = two_layer_model([[1.0, 0.0], [0.0, -2.0]], [1.0, 1.0], [[1.0, 1.0], [2.0, -1.0]], [0.5, 0.0])
     rec = nn.forward(params, np.array([[3.0, 3.0]]))
-    assert np.array_equal(rec.logits, [[4.0, 5.0]])
+    assert np.array_equal(rec.features, [[4.0, 0.0]])  # pre-activations 4 and -5
+    assert np.array_equal(rec.logits, [[4.5, 8.0]])
 
 
 @pytest.mark.parametrize("stack", [0, 3])
-@pytest.mark.parametrize("hidden", [0, 5])
+@pytest.mark.parametrize("hidden", [1, 5])
 def test_forward_is_pure(stack, hidden):
     """The forward writes only the arrays it allocates, and its in-place bias
     add and ReLU give the bits of the written-out expression, on a batch with
@@ -53,17 +50,14 @@ def test_forward_is_pure(stack, hidden):
     for s, model in enumerate(models):
         x = batch[s] if stack else batch
         features, logits = (rec.features[s], rec.logits[s]) if stack else (rec.features, rec.logits)
-        want = x
-        if hidden:
-            (w0, b0), _ = model.layers
-            want = np.maximum(0.0, x @ w0.T + b0)
-        w1, b1 = model.layers[-1]
+        (w0, b0), (w1, b1) = model.layers
+        want = np.maximum(0.0, x @ w0.T + b0)
         assert features.tobytes() == want.tobytes()
         assert logits.tobytes() == (want @ w1.T + b1).tobytes()
 
 
 def test_forward_rejects_bad_width():
-    params = nn.init_params(4, 3, 0, np.random.default_rng(0))
+    params = nn.init_params(4, 3, 5, np.random.default_rng(0))
     with pytest.raises(DimensionError):
         nn.forward(params, np.zeros((2, 5)))
 
@@ -78,7 +72,7 @@ def test_mlp_features_are_nonnegative():
 # --- the flat parameter buffer -----------------------------------------------------
 
 
-@given(st.integers(0, 100), st.integers(0, 8))
+@given(st.integers(0, 100), st.integers(1, 8))
 def test_layers_are_views_into_flat(seed, hidden):
     rng = np.random.default_rng(seed)
     params = nn.init_params(3, 4, hidden, rng)
@@ -104,7 +98,7 @@ def test_layers_are_views_into_flat(seed, hidden):
     assert not np.array_equal(nn.forward(params, batch).logits, before)
 
 
-@given(st.integers(0, 2**32 - 1), st.sampled_from([0, 32]), st.integers(1, 16))
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 32]), st.integers(1, 16))
 def test_a_stack_steps_each_model_as_it_steps_alone(seed, hidden, batch):
     """Row s of a stack's flat buffer is model s: views into it, and its
     forward, K-stacked backward and SGD step bitwise those of model s alone."""
@@ -141,17 +135,17 @@ def test_sgd_step_output_matches_a_rebuilt_model():
     assert np.array_equal(nn.forward(rebuilt, batch).logits, nn.forward(params, batch).logits)
 
 
-@pytest.mark.parametrize("num_layers", [0, 3])
-def test_model_needs_one_or_two_layers(num_layers):
+@pytest.mark.parametrize("num_layers", [0, 1, 3])
+def test_model_needs_two_layers(num_layers):
     layers = [(np.zeros((3, 3)), np.zeros(3))] * num_layers
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match="a model has 2 layers"):
         nn.ModelParams(layers=layers)
 
 
 @pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
 def test_model_rejects_zero_size_weights(shape):
-    with pytest.raises(DimensionError):
-        nn.ModelParams(layers=[(np.zeros(shape), np.zeros(shape[0]))])
+    with pytest.raises(DimensionError, match="empty layer weight"):
+        nn.ModelParams(layers=[(np.zeros(shape), np.zeros(shape[0])), (np.zeros((2, shape[0])), np.zeros(2))])
     with pytest.raises(DimensionError):
         nn.init_params(shape[1], shape[0], 4, np.random.default_rng(0))
 
@@ -169,19 +163,22 @@ def test_backward_zero_gradient():
 
 def test_backward_single_row_outer_product():
     rng = np.random.default_rng(4)
-    params = nn.init_params(4, 3, 0, rng)
+    params = nn.init_params(4, 3, 5, rng)
     x = rng.normal(size=(1, 4))
     rec = nn.forward(params, x)
     dlogits = rng.normal(size=(1, 3))
     g = nn.backward(params, rec, dlogits)
-    expected_w = np.outer(dlogits[0], x[0])
-    assert np.allclose(g[:12].reshape(3, 4), expected_w, atol=1e-15)
-    assert np.allclose(g[12:], dlogits[0], atol=1e-15)
+    d_hidden = (dlogits[0] @ params.layers[1][0]) * (rec.features[0] > 0)
+    # flat layout: layer0 weight [5, 4] and bias [5], then layer1 weight [3, 5] and bias [3]
+    assert np.allclose(g[:20].reshape(5, 4), np.outer(d_hidden, x[0]), atol=1e-15)
+    assert np.allclose(g[20:25], d_hidden, atol=1e-15)
+    assert np.allclose(g[25:40].reshape(3, 5), np.outer(dlogits[0], rec.features[0]), atol=1e-15)
+    assert np.allclose(g[40:], dlogits[0], atol=1e-15)
 
 
 def test_backward_rejects_shape_mismatch():
     rng = np.random.default_rng(5)
-    params = nn.init_params(4, 3, 0, rng)
+    params = nn.init_params(4, 3, 5, rng)
     rec = nn.forward(params, rng.normal(size=(2, 4)))
     with pytest.raises(DimensionError):
         nn.backward(params, rec, np.zeros((2, 4)))
@@ -190,7 +187,7 @@ def test_backward_rejects_shape_mismatch():
 @pytest.mark.parametrize("shape", [(3,), (3, 2, 4), (2, 3, 3), (1, 1, 2, 3)])
 def test_backward_rejects_stack_shape_mismatch(shape):
     rng = np.random.default_rng(5)
-    params = nn.init_params(4, 3, 0, rng)
+    params = nn.init_params(4, 3, 5, rng)
     rec = nn.forward(params, rng.normal(size=(2, 4)))
     with pytest.raises(DimensionError):
         nn.backward(params, rec, np.zeros(shape))
@@ -198,7 +195,7 @@ def test_backward_rejects_stack_shape_mismatch(shape):
 
 @given(
     st.integers(0, 2**32 - 1),
-    st.sampled_from([0, 32]),
+    st.sampled_from([1, 32]),
     st.integers(1, 3),
     st.sampled_from([1.0, 1e-13, 0.0]),
     st.integers(1, 16),
@@ -214,7 +211,7 @@ def test_stacked_backward_matches_separate_calls_bitwise(seed, hidden, k, scale,
         assert row.tobytes() == nn.backward(params, rec, one.copy()).tobytes()
 
 
-@pytest.mark.parametrize("hidden", [0, 5])
+@pytest.mark.parametrize("hidden", [1, 5])
 @pytest.mark.parametrize(
     "loss_name", ["ce", "bsce", "soft_ce", "kl_distill", "mse_logits"]
 )
@@ -252,7 +249,7 @@ def test_backward_matches_finite_differences(hidden, loss_name):
 
 def test_sgd_zero_grad_is_identity():
     rng = np.random.default_rng(7)
-    params = nn.init_params(3, 2, 0, rng)
+    params = nn.init_params(3, 2, 4, rng)
     before = params.flat.copy()
     vel = np.zeros(params.num_params)
     nn.sgd_step(params, np.zeros(params.num_params), lr=0.1, momentum=0.9, velocity=vel)
@@ -262,7 +259,7 @@ def test_sgd_zero_grad_is_identity():
 
 def test_sgd_no_momentum_unit_lr():
     rng = np.random.default_rng(8)
-    params = nn.init_params(3, 2, 0, rng)
+    params = nn.init_params(3, 2, 4, rng)
     before = params.flat.copy()
     grad = rng.normal(size=params.num_params)
     nn.sgd_step(params, grad, lr=1.0, momentum=0.0, velocity=np.zeros(params.num_params))
@@ -271,7 +268,7 @@ def test_sgd_no_momentum_unit_lr():
 
 def test_sgd_momentum_two_steps():
     rng = np.random.default_rng(9)
-    params = nn.init_params(3, 2, 0, rng)
+    params = nn.init_params(3, 2, 4, rng)
     before = params.flat.copy()
     grad = rng.normal(size=params.num_params)
     vel = np.zeros(params.num_params)
@@ -284,7 +281,7 @@ def test_sgd_momentum_two_steps():
 
 def test_sgd_rejects_non_finite_grad():
     rng = np.random.default_rng(10)
-    params = nn.init_params(3, 2, 0, rng)
+    params = nn.init_params(3, 2, 4, rng)
     before = params.flat.copy()
     grad = np.zeros(params.num_params)
     grad[0] = np.nan
