@@ -83,10 +83,21 @@ def _finite(path, line: int, text: str) -> float:
     return value
 
 
+def _run_file(run_dir, name: str) -> Path:
+    """A run directory's file; a missing one is an error naming the directory as given."""
+    run = Path(run_dir)
+    if not run.is_dir():
+        what = "is not a directory" if run.exists() else "does not exist"
+        raise FileNotFoundError(f"run directory {run_dir} {what}")
+    if not (run / name).is_file():
+        raise FileNotFoundError(f"{run_dir} holds no {name}")
+    return run / name
+
+
 def class_kl_table(run_dir) -> np.ndarray:
     """class_kl.csv as [epochs, classes], every cell finite; a run shorter
     than two epochs has no rows."""
-    path = Path(run_dir) / "class_kl.csv"
+    path = _run_file(run_dir, "class_kl.csv")
     header, rows = read_csv(path)
     if not rows:
         raise StateError(f"no divergence rows recorded in {path}")
@@ -137,7 +148,7 @@ def kl_summary(tables) -> dict:
 def conflict_summary(run_dir) -> dict:
     """Per-layer conflict rates and the epoch conflict-fraction profile. A run
     without an auxiliary gradient records no rows: nothing conflicted."""
-    path = Path(run_dir) / "conflicts.csv"
+    path = _run_file(run_dir, "conflicts.csv")
     header, rows = read_csv(path)
     if header != CONFLICT_COLUMNS:
         raise FormatError(f"{path} line 1: header {header}, expected {CONFLICT_COLUMNS}")

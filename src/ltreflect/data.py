@@ -82,13 +82,15 @@ class Dataset:
 
 
 def longtail_counts(num_classes: int, n_max: int, imbalance_factor: float) -> np.ndarray:
-    """Exponential count profile n_j = round(n_max * IF^(-(j-1)/(C-1))), min 1."""
+    """Exponential count profile n_j = round(n_max * IF^(-(j-1)/(C-1))), min 1.
+    Its usage errors name `synth`'s flags, which are its only caller's."""
     if num_classes < 2:
-        raise ParameterError(f"need at least 2 classes, got {num_classes}")
+        raise ParameterError(f"--classes must be >= 2, got {num_classes}")
     if not imbalance_factor >= 1:
-        raise ParameterError(f"imbalance factor must be >= 1, got {imbalance_factor}")
+        raise ParameterError(f"--if must be >= 1, got {imbalance_factor}")
     if n_max < imbalance_factor:
-        raise ParameterError("n_max must be >= the imbalance factor so n_min >= 1")
+        raise ParameterError(
+            f"--n-max {n_max} must be >= --if {imbalance_factor} so the smallest class keeps a sample")
     exponents = -np.arange(num_classes) / (num_classes - 1)
     raw = n_max * np.power(imbalance_factor, exponents)
     return np.maximum(1, np.floor(raw + 0.5).astype(np.int64))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, ParameterError
+from .errors import DimensionError, NumericError
 
 
 @dataclass
@@ -169,16 +169,13 @@ def sgd_step(
     velocity: np.ndarray,
 ) -> None:
     """Heavy-ball update: v <- momentum*v + g; theta <- theta - lr*v. In place.
-    A stack of S models takes [S, P] gradients and velocity."""
+    A stack of S models takes [S, P] gradients and velocity; `TrainConfig`
+    checks lr and momentum. A non-finite gradient (a diverging run) raises."""
     g = np.asarray(grad, dtype=np.float64)
     if g.shape != params.flat.shape:
         raise DimensionError(
             f"gradient has shape {g.shape}, model has {params.flat.shape} params"
         )
-    if not lr > 0:
-        raise ParameterError(f"learning rate must be positive, got {lr}")
-    if not 0 <= momentum < 1:
-        raise ParameterError(f"momentum must be in [0, 1), got {momentum}")
     if not np.isfinite(g).all():
         raise NumericError("gradient contains non-finite entries; step aborted")
     velocity *= momentum

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifacts
-from .errors import DimensionError, ParameterError, StateError
-from .losses import LossOutput, kl_distill, kl_to_targets, tempered_log_probs
+from .errors import DimensionError, ParameterError
+from .losses import LossOutput, kl_to_targets, tempered_log_probs
 from .losses import _as_logits, _log_softmax
 
 _ZERO_NORM = 1e-12
@@ -24,7 +24,6 @@ class EpochCache:
 
     prev_logits: np.ndarray  # [N, C]; rows `temper` took hold review targets instead
     correct_mask: np.ndarray  # bool [N]: argmax(prev_logits) == label when cached
-    tempered: bool = False  # kr_batch_loss reads its rows as review targets
 
 
 def temper(cache: EpochCache, tau: float) -> None:
@@ -34,7 +33,6 @@ def temper(cache: EpochCache, tau: float) -> None:
     cache_update writes logits over them again: a lockstep epoch tempers the
     previous epoch's rows and reads each one before its step rewrites it."""
     cache.prev_logits[:] = tempered_log_probs(cache.prev_logits, tau)
-    cache.tempered = True
 
 
 def empty_cache(num_samples: int, num_classes: int) -> EpochCache:
@@ -46,25 +44,13 @@ def empty_cache(num_samples: int, num_classes: int) -> EpochCache:
 
 def cache_update(cache: EpochCache, indices, logits, labels) -> None:
     """Store logits rows at dataset positions and refresh their correctness.
-    `indices` [B] or a stack [S, B] of cache rows, `logits` [..., B, C].
+    `indices` [B] or a stack [S, B] of cache rows (`trainer._rows`), `logits` [..., B, C].
 
     Argmax ties resolve to the lowest class index, so the correctness mask
     is reproducible.
     """
-    idx = np.asarray(indices, dtype=np.intp)
-    arr = np.asarray(logits, dtype=np.float64)
-    lab = np.asarray(labels)
-    if arr.shape != (*idx.shape, cache.prev_logits.shape[1]):
-        raise DimensionError(
-            f"logits shape {arr.shape} does not match {idx.shape} indices x "
-            f"{cache.prev_logits.shape[1]} classes"
-        )
-    if idx.size and (idx.min() < 0 or idx.max() >= cache.prev_logits.shape[0]):
-        raise ParameterError(
-            f"dataset index out of range [0, {cache.prev_logits.shape[0]})"
-        )
-    cache.prev_logits[idx] = arr
-    cache.correct_mask[idx] = arr.argmax(axis=-1) == lab
+    cache.prev_logits[indices] = logits
+    cache.correct_mask[indices] = logits.argmax(axis=-1) == labels
 
 
 def kr_batch_loss(cache: EpochCache, indices, cur_logits, tau) -> LossOutput:
@@ -72,12 +58,11 @@ def kr_batch_loss(cache: EpochCache, indices, cur_logits, tau) -> LossOutput:
     previous epoch classified correctly; the mean is over qualifying rows.
     Rows outside the filter get exactly-zero gradient. A stack of batches
     ([S, B] indices, [S, B, C] logits) returns one value per batch, the
-    .sum() of exactly its kept rows. The targets are the ones `temper`
-    took, if it did, and otherwise taken from the kept rows alone: row-wise,
-    so either way each row's bits equal kl_distill's on the batch.
+    .sum() of exactly its kept rows. The cache must hold review targets:
+    `temper(cache, tau)` ran this epoch with the same tau, as `train_epoch`
+    does before the first read. Tempering is row-wise, so each row's bits
+    equal kl_distill's on the batch.
     """
-    if cache is None:
-        raise StateError("no previous-epoch cache; run the warm-up epoch first")
     idx = np.asarray(indices, dtype=np.intp)
     cur = np.asarray(cur_logits, dtype=np.float64)
     stacked = idx.ndim == 2
@@ -88,8 +73,7 @@ def kr_batch_loss(cache: EpochCache, indices, cur_logits, tau) -> LossOutput:
     dlogits = np.zeros_like(cur_rows)
     counts = mask.reshape(idx.shape).sum(axis=1) if stacked and len(idx) > 1 else None
     if mask.any():
-        review = kl_to_targets if cache.tempered else kl_distill
-        out = review(cache.prev_logits[rows[mask]], cur_rows[mask], tau, counts)
+        out = kl_to_targets(cache.prev_logits[rows[mask]], cur_rows[mask], tau, counts)
         dlogits[mask] = out.dlogits
         value = np.array([out.value]) if stacked and counts is None else out.value  # a stack of one
     else:
@@ -145,8 +129,6 @@ def reconstruct_labels(similarity, alpha: float) -> np.ndarray:
     The affine combination is kept as written: row sums exceed 1 whenever
     M has positive off-diagonal mass.
     """
-    if not (0.0 <= alpha <= 1.0):
-        raise ParameterError(f"alpha must be in [0, 1], got {alpha}")
     m = np.asarray(similarity, dtype=np.float64)
     return alpha * np.eye(m.shape[0]) + (1.0 - alpha) * m
 

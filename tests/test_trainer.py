@@ -67,12 +67,14 @@ def metrics_equal(a, b):
         {"hidden_dim": 0},
         {"seed": -1},
         {"batch_size": 0},
+        {"lr": 5e-324},  # positive, but the 40th epoch's decayed rate rounds to 0
     ],
 )
 def test_config_rejects_bad_values(kw):
-    """The usage error names the one field and its value."""
+    """The usage error names the field's `train` flag and its value."""
     ((name, value),) = kw.items()
-    with pytest.raises(ParameterError, match=rf"^{name} must be .+, got {re.escape(repr(value))}$"):
+    flag = {name: flag for flag, name, _, _ in trainer.TRAIN_FLAGS}[name]
+    with pytest.raises(ParameterError, match=rf"^{re.escape(flag)} must be .+, got {re.escape(repr(value))}$"):
         trainer.TrainConfig(**kw)
 
 
@@ -431,6 +433,7 @@ def test_kr_rows_for_previously_wrong_samples_get_zero_gradient():
     state = trainer.init_state([cfg], train)
     state, _ = trainer.train_epoch(state, train)  # builds the cache
     cache = state.cache
+    reflect.temper(cache, cfg.tau)
     wrong = ~cache.correct_mask
     if not wrong.any():
         pytest.skip("previous epoch classified everything correctly")
