@@ -1,5 +1,6 @@
-"""The run directory's file format: the CSV and JSON writers, the readers,
-and the summaries that the CLI, the scripts and the tests share.
+"""How each file of a run directory is formatted (`trainer.write_run`
+decides which files it holds): the CSV and JSON writers, the readers, and
+the summaries that the CLI, the scripts and the tests share.
 
 CSV: a header row, ints as decimals, floats by `repr` (so every float64
 reads back exactly), CRLF rows. JSON: indent 2, sorted keys, a trailing

@@ -10,6 +10,7 @@ be fed back verbatim to reproduce the run.
 from __future__ import annotations
 
 import argparse
+import functools
 import shlex
 import sys
 from pathlib import Path
@@ -39,6 +40,7 @@ SYNTH_FLAGS = (
 )
 
 
+@functools.cache  # one per process: argparse keeps no parse state on the parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ltreflect",
@@ -50,28 +52,28 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, dest, kind, default, help_text in SYNTH_FLAGS:
         p.add_argument(flag, dest=dest, type=kind, default=default, help=help_text)
     p.add_argument("--out", required=True, help="train file path; test split goes to <stem>.test<ext>")
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func="cmd_synth")
 
     p = sub.add_parser("train", help="train one configuration")
     _add_train_flags(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func="cmd_train")
 
     p = sub.add_parser("ablate", help="run the 2^3 {KR,KS,KC} component grid")
     _add_train_flags(p, components=False)
     p.add_argument("--out", required=True)
     p.add_argument("--seeds", type=int, default=1, help="number of seeds per cell (base --seed, consecutive)")
-    p.set_defaults(func=cmd_ablate)
+    p.set_defaults(func="cmd_ablate")
 
     p = sub.add_parser("analyze-kl", help="summarize the per-class divergence series of a run")
     p.add_argument("--run", required=True, help="run directory holding class_kl.csv")
     p.add_argument("--out", default=None, help="output JSON (default <run>/kl_analysis.json)")
-    p.set_defaults(func=cmd_analyze_kl)
+    p.set_defaults(func="cmd_analyze_kl")
 
     p = sub.add_parser("analyze-conflicts", help="summarize the conflict series of a run")
     p.add_argument("--run", required=True, help="run directory holding conflicts.csv")
     p.add_argument("--out", default=None, help="output JSON (default <run>/conflict_analysis.json)")
-    p.set_defaults(func=cmd_analyze_conflicts)
+    p.set_defaults(func="cmd_analyze_conflicts")
 
     return parser
 
@@ -174,10 +176,20 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def cmd_analyze_kl(args) -> int:
-    payload = artifacts.kl_summary([artifacts.class_kl_table(args.run)])
-    out = Path(args.out or Path(args.run, "kl_analysis.json"))
+def _analyze(args, default_name: str, summarize) -> tuple[Path, dict]:
+    """Writes `summarize(--run)` as JSON to --out, else <run>/default_name:
+    the target is checked before the run is read, its parent made after."""
+    out = Path(args.out or Path(args.run, default_name))
+    trainer.check_target(out, "output file")
+    payload = summarize(args.run)
+    out.parent.mkdir(parents=True, exist_ok=True)
     artifacts.write_json(out, payload)
+    return out, payload
+
+
+def cmd_analyze_kl(args) -> int:
+    out, payload = _analyze(args, "kl_analysis.json",
+                            lambda run: artifacts.kl_summary([artifacts.class_kl_table(run)]))
     print(
         f"mean adjacent-epoch KL {payload['mean_kl']:.5f}, "
         f"rarity-rank spearman {payload['spearman_rarity']:.3f} -> {out}"
@@ -186,9 +198,7 @@ def cmd_analyze_kl(args) -> int:
 
 
 def cmd_analyze_conflicts(args) -> int:
-    payload = artifacts.conflict_summary(args.run)
-    out = Path(args.out or Path(args.run, "conflict_analysis.json"))
-    artifacts.write_json(out, payload)
+    out, payload = _analyze(args, "conflict_analysis.json", artifacts.conflict_summary)
     print(
         f"conflict fraction mean {payload['fraction_mean']:.3f}, "
         f"nonzero in {payload['fraction_nonzero_share']:.0%} of epochs -> {out}"
@@ -206,7 +216,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        return args.func(args)
+        return globals()[args.func](args)  # by name: a command wrapped after the parser was built runs
     except ParameterError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,7 @@
 """Training orchestration: lockstep groups of runs, per-batch loss
 assembly, one stacked backward, conflict-corrected updates, per-epoch
-memory refresh, evaluation buckets, and what a run directory holds
-(`artifacts` owns the file format).
+memory refresh, evaluation buckets, and `write_run`, which decides what
+a run directory holds (`artifacts` decides how each file is formatted).
 """
 
 from __future__ import annotations
@@ -110,6 +110,15 @@ class EpochMetrics:
 
 # metrics.csv's columns and summary.json's "final" keys: every per-epoch scalar
 METRIC_COLUMNS = [f.name for f in fields(EpochMetrics) if f.name != "layer_conflict_rates"]
+
+
+@dataclass
+class RunResult:
+    """What one trained run sends back; `write_run` writes its directory from it."""
+
+    history: list[EpochMetrics]  # one per epoch, with accuracies
+    kl_rows: list[tuple[int, np.ndarray]]  # (epoch, per-class KL) from epoch 1 on
+    similarity: np.ndarray | None = None  # the last epoch's [C, C] matrix
 
 
 # Lockstep groups. The runs of a group differ only in LTR loss, components
@@ -471,9 +480,36 @@ def write_metrics_csv(path, history: list[EpochMetrics]) -> None:
     artifacts.write_csv(path, METRIC_COLUMNS, rows)
 
 
-def write_conflicts_csv(path, rows) -> None:
-    """rows = (epoch, layer_name, conflicted 0/1, epoch conflict fraction)."""
+def write_conflicts_csv(path, history: list[EpochMetrics]) -> None:
+    """One row per epoch and layer of a run with an auxiliary gradient:
+    (epoch, layer_name, conflicted 0/1 at a rate >= 0.5, epoch conflict fraction)."""
+    rows = ((m.epoch, name, 1 if rate >= 0.5 else 0, m.conflict_fraction)
+            for m in history for name, rate in m.layer_conflict_rates.items())
     artifacts.write_csv(path, artifacts.CONFLICT_COLUMNS, rows)
+
+
+def write_run(cfg: TrainConfig, out_dir, result: RunResult, dataset_path, test_path=None) -> dict:
+    """Makes `out_dir`, writes the run's six files and returns the
+    summary.json record. Each writer is looked up by its module name when
+    called, so a replaced `trainer.write_metrics_csv` is the one that writes."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_metrics_csv(out / "metrics.csv", result.history)
+    write_conflicts_csv(out / "conflicts.csv", result.history)
+    reflect.write_class_kl_series(out / "class_kl.csv", result.kl_rows)
+    reflect.write_matrix_csv(out / "similarity.csv", result.similarity)
+    echo = train_echo(cfg, dataset_path, out_dir, test_path)
+    (out / "config.echo").write_text(echo + "\n")
+    summary = {
+        "config": asdict(cfg),
+        "dataset": str(Path(dataset_path)),
+        "test_dataset": str(default_test_path(dataset_path) if test_path is None else Path(test_path)),
+        "epochs_run": len(result.history),
+        "final": {col: getattr(result.history[-1], col) for col in METRIC_COLUMNS},
+        "echo": echo,
+    }
+    artifacts.write_json(out / "summary.json", summary, strict=False)
+    return summary
 
 
 # Byte budget of one lockstep group's stacked per-run float64 state, a run's
@@ -499,26 +535,26 @@ def lockstep_groups(cfgs, train: data.Dataset, test: data.Dataset) -> list[list[
     return groups
 
 
-def train_group(cfgs, train: data.Dataset, test: data.Dataset, split):
+def train_group(cfgs, train: data.Dataset, test: data.Dataset, split) -> tuple[TrainerState, list[RunResult]]:
     """Trains one lockstep group to its last epoch, evaluating run by run
-    after each epoch. Returns the final state, each run's EpochMetrics with
-    accuracies, and each run's (epoch, per-class KL) rows."""
+    after each epoch. Returns the final state and each run's RunResult."""
     state = init_state(cfgs, train)
-    histories = [[] for _ in cfgs]
-    kl_rows = [[] for _ in cfgs]
+    results = [RunResult(history=[], kl_rows=[]) for _ in cfgs]
     prev_logits = [None] * len(cfgs)
     for _ in range(state.cfgs[0].epochs):
         state, metrics = train_epoch(state, train)
-        for s, m in enumerate(metrics):
+        for s, (m, result) in enumerate(zip(metrics, results)):
             accs, logits = evaluate(state.params.run(s), test, split)
-            histories[s].append(replace(m, **accs))
+            result.history.append(replace(m, **accs))
             if prev_logits[s] is not None:
                 kl = reflect.per_class_adjacent_kl(
                     prev_logits[s], logits, test.labels, num_classes=train.num_classes
                 )
-                kl_rows[s].append((m.epoch, kl))
+                result.kl_rows.append((m.epoch, kl))
             prev_logits[s] = logits
-    return state, histories, kl_rows
+    for result, labels in zip(results, state.soft_labels):
+        result.similarity = labels.M
+    return state, results
 
 
 @functools.cache
@@ -604,13 +640,11 @@ def _parts(groups, cpus: int) -> list[tuple[int, list[int]]]:
     return parts
 
 
-def _train_part(cfgs, train: data.Dataset, test: data.Dataset, split):
-    """Trains the runs of one part as one lockstep group and returns what
-    their files need: each run's history, per-class KL rows and similarity
-    matrix. Small enough to send back from a worker lane, which is forked
-    inside `run_set`'s pinned block and so runs at its one BLAS thread."""
-    state, histories, kl_rows = train_group(cfgs, train, test, split)
-    return histories, kl_rows, [labels.M for labels in state.soft_labels]
+def _train_part(cfgs, train: data.Dataset, test: data.Dataset, split) -> list[RunResult]:
+    """Trains the runs of one part as one lockstep group and returns each
+    run's RunResult. Small enough to send back from a worker lane, which is
+    forked inside `run_set`'s pinned block and so runs at its one BLAS thread."""
+    return train_group(cfgs, train, test, split)[1]
 
 
 def _named(exc: NumericError, runs, group) -> NumericError:
@@ -621,7 +655,7 @@ def _named(exc: NumericError, runs, group) -> NumericError:
 
 
 def _trained_groups(runs, groups, train, test, split):
-    """Yields each group's `_train_part` result, in set order, its parts
+    """Yields each group's RunResults, in set order, its parts
     (`_parts`) trained on one lane per CPU: part k on lane k % lanes, lane 0
     here when its group comes up and the others on forked workers. One lane
     builds no pool and imports nothing. A diverging group raises what one
@@ -664,7 +698,7 @@ def _trained_groups(runs, groups, train, test, split):
                 ) from None
             except NumericError as exc:
                 raise _named(exc, runs, group) from None
-            yield tuple(sum(column, []) for column in zip(*outs))  # parts are contiguous, in order
+            yield [result for out in outs for result in out]  # parts are contiguous, in order
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -674,9 +708,8 @@ def _trained_groups(runs, groups, train, test, split):
 def run_set(runs, dataset_path, test_path=None) -> list[dict]:
     """Trains every `(cfg, out_dir)` of `runs` on one train/test pair, loaded
     and checked once, in lockstep groups (`lockstep_groups`); returns the
-    summary records in run order. Each run's files equal the ones it writes
-    alone, byte for byte: metrics.csv, conflicts.csv, class_kl.csv,
-    similarity.csv, summary.json and config.echo, the `train` flag line that
+    summary records in run order. Each run's files (`write_run`) equal the
+    ones it writes alone, byte for byte, and the flag line they record
     reproduces it at any BLAS thread count: the set runs with OpenBLAS at
     one thread (`_one_blas_thread`). The set trains on one lane per usable
     CPU (`_trained_groups`), and its files do not depend on the lane count.
@@ -709,35 +742,11 @@ def run_set(runs, dataset_path, test_path=None) -> list[dict]:
 
     summaries = [None] * len(runs)
     groups = lockstep_groups([cfg for cfg, _ in runs], train, test)
-    with contextlib.closing(_trained_groups(runs, groups, train, test, split)) as results:
-        for group, (histories, kl_rows, matrices) in zip(groups, results):
-            for s, i in enumerate(group):
+    with contextlib.closing(_trained_groups(runs, groups, train, test, split)) as trained:
+        for group, results in zip(groups, trained):
+            for i, result in zip(group, results):
                 cfg, out_dir = runs[i]
-                out = Path(out_dir)
-                out.mkdir(parents=True, exist_ok=True)
-                history = histories[s]
-                conflict_rows = [
-                    (m.epoch, name, 1 if rate >= 0.5 else 0, m.conflict_fraction)
-                    for m in history
-                    for name, rate in m.layer_conflict_rates.items()
-                ]
-                write_metrics_csv(out / "metrics.csv", history)
-                write_conflicts_csv(out / "conflicts.csv", conflict_rows)
-                reflect.write_class_kl_series(out / "class_kl.csv", kl_rows[s])
-                reflect.write_matrix_csv(out / "similarity.csv", matrices[s])
-                echo = train_echo(cfg, dataset_path, out_dir, test_path)
-                (out / "config.echo").write_text(echo + "\n")
-
-                final = history[-1]
-                summaries[i] = {
-                    "config": asdict(cfg),
-                    "dataset": str(train_path),
-                    "test_dataset": str(tp),
-                    "epochs_run": len(history),
-                    "final": {col: getattr(final, col) for col in METRIC_COLUMNS},
-                    "echo": echo,
-                }
-                artifacts.write_json(out / "summary.json", summaries[i], strict=False)
+                summaries[i] = write_run(cfg, out_dir, result, dataset_path, test_path)
     return summaries
 
 

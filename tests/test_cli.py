@@ -566,6 +566,42 @@ def test_analyze_kl_on_constant_class_means_is_null(tmp_path, capsys):
     assert "rarity-rank spearman nan" in capsys.readouterr().out
 
 
+# A run directory that both analyze commands can read.
+ANALYZABLE = {"class_kl.csv": "epoch,0,1\r\n1,0.5,0.25\r\n2,0.125,0.5\r\n",
+              "conflicts.csv": "epoch,layer_name,conflicted,fraction\r\n1,layer0,1,0.75\r\n"}
+
+
+@pytest.mark.parametrize("command", ["analyze-kl", "analyze-conflicts"])
+def test_analyze_out_under_a_missing_directory_makes_it(tmp_path, capsys, command):
+    for name, text in ANALYZABLE.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "nodir" / "deeper" / "x.json"
+    assert run([command, "--run", str(tmp_path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["epochs"] == (2 if command == "analyze-kl" else 1)
+
+
+@pytest.mark.parametrize("command", ["analyze-kl", "analyze-conflicts"])
+def test_analyze_out_that_is_a_directory_is_one_error_line(tmp_path, capsys, command):
+    for name, text in ANALYZABLE.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "taken"
+    out.mkdir()
+    assert run([command, "--run", str(tmp_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: output file {out} exists and is a directory"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*ANALYZABLE, "taken"])
+    assert not any(out.iterdir())
+
+
+def test_the_parser_is_built_once_and_runs_the_current_command(tmp_path, monkeypatch):
+    """A command wrapped after the parser was built (as bench/tracer.py
+    wraps them) is the one that runs."""
+    assert cli.build_parser() is cli.build_parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_analyze_kl", lambda args: calls.append(args.run) or 0)
+    assert run(["analyze-kl", "--run", str(tmp_path)]) == 0
+    assert calls == [str(tmp_path)]
+
+
 @pytest.mark.parametrize(
     "command, name, text, where",
     [

@@ -206,8 +206,9 @@ def test_run_set_matches_the_serial_oracle_per_run(tmp_path, monkeypatch):
     """One heterogeneous set, split into lockstep groups by everything but
     the LTR loss, the components and the seed, each variant beside a sibling
     that differs in those (CE and BSCE runs share the first group): every
-    run ends where the serial oracle ends, bit for bit, and its class_kl.csv
-    rows equal the oracle's one kl_distill call per class."""
+    run ends where the serial oracle ends, bit for bit, its RunResult's KL
+    rows equal the oracle's one kl_distill call per class, and its
+    similarity matrix is the oracle's last one."""
     train, test, split = stock_sets()
     train_path = tmp_path / "stock.ltds"
     data.save_dataset(train, train_path)
@@ -238,18 +239,19 @@ def test_run_set_matches_the_serial_oracle_per_run(tmp_path, monkeypatch):
     monkeypatch.setattr(trainer, "train_group", recording_group)
     trainer.run_set([(cfg, tmp_path / str(i)) for i, cfg in enumerate(cfgs)], train_path)
     assert [len(group_cfgs) for group_cfgs, _ in groups] == [5, 2, 2, 2, 2]
-    for group_cfgs, (state, histories, kl_rows) in groups:
+    for group_cfgs, (state, results) in groups:
         for s, cfg in enumerate(group_cfgs):
             params, velocity, history, soft_labels, kl_expected = serial_run(cfg, train, test, split)
             # repr tells -0.0 and nan apart
-            assert [repr(asdict(m)) for m in histories[s]] == [repr(asdict(m)) for m in history]
+            assert [repr(asdict(m)) for m in results[s].history] == [repr(asdict(m)) for m in history]
             assert state.params.flat[s].tobytes() == params.flat.tobytes(), cfg
             assert state.velocity[s].tobytes() == velocity.tobytes(), cfg
             assert state.soft_labels[s].M.tobytes() == soft_labels.M.tobytes(), cfg
             assert state.soft_labels[s].y_hat.tobytes() == soft_labels.y_hat.tobytes(), cfg
-            assert [(e, repr(kl.tolist()), kl.tobytes()) for e, kl in kl_rows[s]] == [
+            assert [(e, repr(kl.tolist()), kl.tobytes()) for e, kl in results[s].kl_rows] == [
                 (e, repr(kl.tolist()), kl.tobytes()) for e, kl in kl_expected
             ], cfg
+            assert results[s].similarity.tobytes() == soft_labels.M.tobytes(), cfg
 
 
 def test_a_set_makes_one_backward_per_lockstep_step(monkeypatch):
@@ -839,8 +841,8 @@ def test_a_one_lane_set_imports_neither_multiprocessing_nor_concurrent_futures(t
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_a_mixed_loss_group_matches_the_serial_oracle_on_any_lane_count(tmp_path, monkeypatch, cpus):
     """CE and BSCE runs of one config train as one lockstep group, whole on
-    one lane or cut across two, and each run's files are the serial
-    oracle's, byte for byte."""
+    one lane or cut across two, and each run's files are the ones
+    `write_run` writes from the serial oracle's result, byte for byte."""
     train_path = write_tiny_pair(tmp_path).resolve()
     train, test, split = tiny_sets()
     cfgs = [tiny_cfg(ltr_loss=loss, seed=seed, **kw) for loss, seed, kw in (
@@ -852,11 +854,8 @@ def test_a_mixed_loss_group_matches_the_serial_oracle_on_any_lane_count(tmp_path
     for i, cfg in enumerate(cfgs):
         _, _, history, soft_labels, kl_rows = serial_run(cfg, train, test, split)
         oracle = tmp_path / "oracle" / str(i)
-        oracle.mkdir(parents=True)
-        trainer.write_metrics_csv(oracle / "metrics.csv", history)
-        reflect.write_class_kl_series(oracle / "class_kl.csv", kl_rows)
-        reflect.write_matrix_csv(oracle / "similarity.csv", soft_labels.M)
-        for name in ("metrics.csv", "class_kl.csv", "similarity.csv"):
+        trainer.write_run(cfg, oracle, trainer.RunResult(history, kl_rows, soft_labels.M), train_path)
+        for name in ("metrics.csv", "conflicts.csv", "class_kl.csv", "similarity.csv"):
             assert files[f"run{i}/{name}"] == (oracle / name).read_bytes(), (i, name)
 
 
