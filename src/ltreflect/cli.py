@@ -180,7 +180,8 @@ def _analyze(args, default_name: str, summarize) -> tuple[Path, dict]:
     """Writes `summarize(--run)` as JSON to --out, else <run>/default_name:
     the target is checked before the run is read, its parent made after."""
     out = Path(args.out or Path(args.run, default_name))
-    trainer.check_target(out, "output file")
+    if args.out or Path(args.run).is_dir():  # else reading the run names the run directory
+        trainer.check_target(out, "output file")
     payload = summarize(args.run)
     out.parent.mkdir(parents=True, exist_ok=True)
     artifacts.write_json(out, payload)

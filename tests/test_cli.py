@@ -592,6 +592,22 @@ def test_analyze_out_that_is_a_directory_is_one_error_line(tmp_path, capsys, com
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command, name", [("analyze-kl", "kl_analysis.json"),
+                                           ("analyze-conflicts", "conflict_analysis.json")])
+def test_analyze_default_target_is_checked_in_a_run_directory(tmp_path, capsys, command, name):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert run([command, "--run", str(afile)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: run directory {afile} is not a directory"]
+    for file_name, text in ANALYZABLE.items():
+        (tmp_path / file_name).write_text(text)
+    (tmp_path / name).mkdir()
+    assert run([command, "--run", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: output file {tmp_path / name} exists and is a directory"]
+    assert not any((tmp_path / name).iterdir())
+
+
 def test_the_parser_is_built_once_and_runs_the_current_command(tmp_path, monkeypatch):
     """A command wrapped after the parser was built (as bench/tracer.py
     wraps them) is the one that runs."""
