@@ -10,7 +10,6 @@ be fed back verbatim to reproduce the run.
 from __future__ import annotations
 
 import argparse
-import functools
 import shlex
 import sys
 from pathlib import Path
@@ -40,7 +39,6 @@ SYNTH_FLAGS = (
 )
 
 
-@functools.cache  # one per process: argparse keeps no parse state on the parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ltreflect",
@@ -52,28 +50,28 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, dest, kind, default, help_text in SYNTH_FLAGS:
         p.add_argument(flag, dest=dest, type=kind, default=default, help=help_text)
     p.add_argument("--out", required=True, help="train file path; test split goes to <stem>.test<ext>")
-    p.set_defaults(func="cmd_synth")
+    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train one configuration")
     _add_train_flags(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func="cmd_train")
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("ablate", help="run the 2^3 {KR,KS,KC} component grid")
     _add_train_flags(p, components=False)
     p.add_argument("--out", required=True)
     p.add_argument("--seeds", type=int, default=1, help="number of seeds per cell (base --seed, consecutive)")
-    p.set_defaults(func="cmd_ablate")
+    p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("analyze-kl", help="summarize the per-class divergence series of a run")
     p.add_argument("--run", required=True, help="run directory holding class_kl.csv")
     p.add_argument("--out", default=None, help="output JSON (default <run>/kl_analysis.json)")
-    p.set_defaults(func="cmd_analyze_kl")
+    p.set_defaults(func=cmd_analyze_kl)
 
     p = sub.add_parser("analyze-conflicts", help="summarize the conflict series of a run")
     p.add_argument("--run", required=True, help="run directory holding conflicts.csv")
     p.add_argument("--out", default=None, help="output JSON (default <run>/conflict_analysis.json)")
-    p.set_defaults(func="cmd_analyze_conflicts")
+    p.set_defaults(func=cmd_analyze_conflicts)
 
     return parser
 
@@ -177,12 +175,11 @@ def cmd_ablate(args) -> int:
 
 
 def _analyze(args, default_name: str, summarize) -> tuple[Path, dict]:
-    """Writes `summarize(--run)` as JSON to --out, else <run>/default_name:
-    the target is checked before the run is read, its parent made after."""
-    out = Path(args.out or Path(args.run, default_name))
-    if args.out or Path(args.run).is_dir():  # else reading the run names the run directory
-        trainer.check_target(out, "output file")
+    """Writes `summarize(--run)` as JSON to --out, else <run>/default_name,
+    making the target's parent directory."""
     payload = summarize(args.run)
+    out = Path(args.out or Path(args.run, default_name))
+    trainer.check_target(out, "output file")
     out.parent.mkdir(parents=True, exist_ok=True)
     artifacts.write_json(out, payload)
     return out, payload
@@ -217,7 +214,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        return globals()[args.func](args)  # by name: a command wrapped after the parser was built runs
+        return args.func(args)
     except ParameterError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

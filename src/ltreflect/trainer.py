@@ -118,7 +118,7 @@ class RunResult:
 
     history: list[EpochMetrics]  # one per epoch, with accuracies
     kl_rows: list[tuple[int, np.ndarray]]  # (epoch, per-class KL) from epoch 1 on
-    similarity: np.ndarray | None = None  # the last epoch's [C, C] matrix
+    similarity: np.ndarray  # the last epoch's [C, C] matrix
 
 
 # Lockstep groups. The runs of a group differ only in LTR loss, components
@@ -491,7 +491,9 @@ def write_conflicts_csv(path, history: list[EpochMetrics]) -> None:
 def write_run(cfg: TrainConfig, out_dir, result: RunResult, dataset_path, test_path=None) -> dict:
     """Makes `out_dir`, writes the run's six files and returns the
     summary.json record. Each writer is looked up by its module name when
-    called, so a replaced `trainer.write_metrics_csv` is the one that writes."""
+    called, so a replaced `trainer.write_metrics_csv` is the one that writes.
+    `test_path` is --test-data as given: the flag line records it only when
+    given, summary.json the test file the run read."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(out / "metrics.csv", result.history)
@@ -539,22 +541,21 @@ def train_group(cfgs, train: data.Dataset, test: data.Dataset, split) -> tuple[T
     """Trains one lockstep group to its last epoch, evaluating run by run
     after each epoch. Returns the final state and each run's RunResult."""
     state = init_state(cfgs, train)
-    results = [RunResult(history=[], kl_rows=[]) for _ in cfgs]
+    series = [([], []) for _ in cfgs]  # each run's history and KL rows
     prev_logits = [None] * len(cfgs)
     for _ in range(state.cfgs[0].epochs):
         state, metrics = train_epoch(state, train)
-        for s, (m, result) in enumerate(zip(metrics, results)):
+        for s, (m, (history, kl_rows)) in enumerate(zip(metrics, series)):
             accs, logits = evaluate(state.params.run(s), test, split)
-            result.history.append(replace(m, **accs))
+            history.append(replace(m, **accs))
             if prev_logits[s] is not None:
                 kl = reflect.per_class_adjacent_kl(
                     prev_logits[s], logits, test.labels, num_classes=train.num_classes
                 )
-                result.kl_rows.append((m.epoch, kl))
+                kl_rows.append((m.epoch, kl))
             prev_logits[s] = logits
-    for result, labels in zip(results, state.soft_labels):
-        result.similarity = labels.M
-    return state, results
+    return state, [RunResult(history, kl_rows, labels.M)
+                   for (history, kl_rows), labels in zip(series, state.soft_labels)]
 
 
 @functools.cache

@@ -608,16 +608,6 @@ def test_analyze_default_target_is_checked_in_a_run_directory(tmp_path, capsys, 
     assert not any((tmp_path / name).iterdir())
 
 
-def test_the_parser_is_built_once_and_runs_the_current_command(tmp_path, monkeypatch):
-    """A command wrapped after the parser was built (as bench/tracer.py
-    wraps them) is the one that runs."""
-    assert cli.build_parser() is cli.build_parser()
-    calls = []
-    monkeypatch.setattr(cli, "cmd_analyze_kl", lambda args: calls.append(args.run) or 0)
-    assert run(["analyze-kl", "--run", str(tmp_path)]) == 0
-    assert calls == [str(tmp_path)]
-
-
 @pytest.mark.parametrize(
     "command, name, text, where",
     [

@@ -841,8 +841,8 @@ def test_a_one_lane_set_imports_neither_multiprocessing_nor_concurrent_futures(t
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_a_mixed_loss_group_matches_the_serial_oracle_on_any_lane_count(tmp_path, monkeypatch, cpus):
     """CE and BSCE runs of one config train as one lockstep group, whole on
-    one lane or cut across two, and each run's files are the ones
-    `write_run` writes from the serial oracle's result, byte for byte."""
+    one lane or cut across two, and each run's files are the serial
+    oracle's, byte for byte."""
     train_path = write_tiny_pair(tmp_path).resolve()
     train, test, split = tiny_sets()
     cfgs = [tiny_cfg(ltr_loss=loss, seed=seed, **kw) for loss, seed, kw in (
@@ -854,7 +854,11 @@ def test_a_mixed_loss_group_matches_the_serial_oracle_on_any_lane_count(tmp_path
     for i, cfg in enumerate(cfgs):
         _, _, history, soft_labels, kl_rows = serial_run(cfg, train, test, split)
         oracle = tmp_path / "oracle" / str(i)
-        trainer.write_run(cfg, oracle, trainer.RunResult(history, kl_rows, soft_labels.M), train_path)
+        oracle.mkdir(parents=True)
+        trainer.write_metrics_csv(oracle / "metrics.csv", history)
+        trainer.write_conflicts_csv(oracle / "conflicts.csv", history)
+        reflect.write_class_kl_series(oracle / "class_kl.csv", kl_rows)
+        reflect.write_matrix_csv(oracle / "similarity.csv", soft_labels.M)
         for name in ("metrics.csv", "conflicts.csv", "class_kl.csv", "similarity.csv"):
             assert files[f"run{i}/{name}"] == (oracle / name).read_bytes(), (i, name)
 
