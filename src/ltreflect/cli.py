@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts, data, trainer
-from .errors import DimensionError, FormatError, NumericError, ParameterError, StateError
+from .errors import DimensionError, FormatError, NumericError, ParameterError, StateError, check
 
 
 # The `synth` flags but --out: (flag, dest, type, default, help), in the
@@ -86,8 +86,7 @@ def _add_train_flags(p: argparse.ArgumentParser, components: bool = True) -> Non
             if components:
                 p.add_argument(flag, action="store_true", help=help_text)
         else:
-            choices = trainer.LTR_LOSSES if name == "ltr_loss" else None
-            p.add_argument(flag, type=kind, choices=choices, default=getattr(defaults, name), help=help_text)
+            p.add_argument(flag, type=kind, default=getattr(defaults, name), help=help_text)
 
 
 def _config_from_args(args) -> trainer.TrainConfig:
@@ -98,24 +97,24 @@ def _config_from_args(args) -> trainer.TrainConfig:
 
 
 def cmd_synth(args) -> int:
-    if args.seed < 0:
-        raise ParameterError(f"--seed must be >= 0, got {args.seed}")
-    if not np.isfinite(args.class_sep):
-        raise ParameterError(f"--class-sep must be finite, got {args.class_sep}")
+    dests = {flag: dest for flag, dest, *_ in SYNTH_FLAGS}
     u32_max = np.iinfo(np.uint32).max  # the file header stores N, D and C as u32
-    for flag, value in (("--classes", args.classes), ("--dim", args.dim),
-                        ("--n-max", args.n_max), ("--test-size", args.test_size)):
-        if value > u32_max:
-            raise ParameterError(f"{flag} must be <= {u32_max}, got {value}")
+    rules = [("--seed", ">= 0", args.seed >= 0), ("--class-sep", "finite", np.isfinite(args.class_sep))]
+    rules += [(flag, f"<= {u32_max}", getattr(args, dests[flag]) <= u32_max)
+              for flag in ("--classes", "--dim", "--n-max", "--test-size")]
+    rules += [
+        ("--classes", ">= 2", args.classes >= 2),
+        ("--if", ">= 1", args.imbalance_factor >= 1),
+        ("--n-max", f">= --if ({args.imbalance_factor!r}) so the smallest class keeps a sample",
+         args.n_max >= args.imbalance_factor),
+        ("--test-size", ">= 1", args.test_size >= 1),
+        ("--noise", "finite and >= 0", 0 <= args.noise < np.inf),
+        ("--pairs", f"in [0, {args.classes // 2}]", 0 <= args.pairs <= args.classes // 2),
+        ("--overlap", "in [0, 1]", 0 <= args.overlap <= 1),
+        ("--dim", ">= 2", args.dim >= 2),  # unit-norm centers in one dim are only +-class_sep
+    ]
+    check((flag, rule, ok, getattr(args, dests[flag])) for flag, rule, ok in rules)
     counts = data.longtail_counts(args.classes, args.n_max, args.imbalance_factor)
-    if args.test_size < 1:
-        raise ParameterError(f"--test-size must be >= 1, got {args.test_size}")
-    if not 0 <= args.noise < np.inf:
-        raise ParameterError(f"--noise must be finite and >= 0, got {args.noise}")
-    if args.pairs < 0 or 2 * args.pairs > args.classes:
-        raise ParameterError(f"--pairs must be in [0, {args.classes // 2}]")
-    if not 0 <= args.overlap <= 1:
-        raise ParameterError(f"--overlap must be in [0, 1], got {args.overlap}")
     pairs = [(i, args.classes // 2 + i, args.overlap) for i in range(args.pairs)]
     out = Path(args.out)
     test_out = trainer.default_test_path(out)
@@ -159,8 +158,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    if args.seeds < 1:
-        raise ParameterError(f"--seeds must be >= 1, got {args.seeds}")
+    check([("--seeds", ">= 1", args.seeds >= 1, args.seeds)])
     base = _config_from_args(args)
     seeds = [base.seed + i for i in range(args.seeds)]
     rows = trainer.run_ablation_grid(
@@ -176,9 +174,11 @@ def cmd_ablate(args) -> int:
 
 def _analyze(args, default_name: str, summarize) -> tuple[Path, dict]:
     """Writes `summarize(--run)` as JSON to --out, else <run>/default_name,
-    making the target's parent directory."""
+    making the target's parent directory; it never writes over a `trainer.RUN_FILES` file."""
     payload = summarize(args.run)
     out = Path(args.out or Path(args.run, default_name))
+    if out.resolve() in {Path(args.run, name).resolve() for name in trainer.RUN_FILES}:
+        raise OSError(f"output file {out} is a file of run directory {args.run}")
     trainer.check_target(out, "output file")
     out.parent.mkdir(parents=True, exist_ok=True)
     artifacts.write_json(out, payload)

@@ -82,15 +82,8 @@ class Dataset:
 
 
 def longtail_counts(num_classes: int, n_max: int, imbalance_factor: float) -> np.ndarray:
-    """Exponential count profile n_j = round(n_max * IF^(-(j-1)/(C-1))), min 1.
-    Its usage errors name `synth`'s flags, which are its only caller's."""
-    if num_classes < 2:
-        raise ParameterError(f"--classes must be >= 2, got {num_classes}")
-    if not imbalance_factor >= 1:
-        raise ParameterError(f"--if must be >= 1, got {imbalance_factor}")
-    if n_max < imbalance_factor:
-        raise ParameterError(
-            f"--n-max {n_max} must be >= --if {imbalance_factor} so the smallest class keeps a sample")
+    """Exponential count profile n_j = round(n_max * IF^(-(j-1)/(C-1))), min 1,
+    for C >= 2 and 1 <= IF <= n_max (the `synth` command checks them)."""
     exponents = -np.arange(num_classes) / (num_classes - 1)
     raw = n_max * np.power(imbalance_factor, exponents)
     return np.maximum(1, np.floor(raw + 0.5).astype(np.int64))
@@ -99,8 +92,6 @@ def longtail_counts(num_classes: int, n_max: int, imbalance_factor: float) -> np
 def split_classes(class_counts) -> dict[str, np.ndarray]:
     """Partition class indices into many (> MANY_THRESHOLD), few (< FEW_THRESHOLD), medium."""
     counts = np.asarray(class_counts)
-    if counts.size == 0:
-        raise ParameterError("class counts must be non-empty")
     idx = np.arange(counts.size)
     many = counts > MANY_THRESHOLD
     few = counts < FEW_THRESHOLD
@@ -122,8 +113,6 @@ def _unit_centers(
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
     centers *= class_sep
     for head, tail, overlap in similarity_pairs:
-        if not (0.0 <= overlap <= 1.0):
-            raise ParameterError(f"overlap must be in [0, 1], got {overlap}")
         centers[tail] = (1.0 - overlap) * centers[tail] + overlap * centers[head]
     return centers
 
@@ -146,8 +135,6 @@ def synth_gaussians(
     draws fresh samples from the same class distributions — that is how
     the balanced test split is produced.
     """
-    if dim < 2:
-        raise ParameterError(f"feature dim must be >= 2, got {dim}")
     counts = np.asarray(counts, dtype=np.int64)
     if counts.shape != (num_classes,):
         raise ParameterError(f"counts must have length {num_classes}")

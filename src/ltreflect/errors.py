@@ -9,6 +9,13 @@ class ParameterError(ValueError):
     """An argument is outside its documented range."""
 
 
+def check(rules) -> None:
+    """Raises ParameterError("<flag> must be <rule>, got <value!r>") at the first rule not ok."""
+    for flag, rule, ok, value in rules:
+        if not ok:
+            raise ParameterError(f"{flag} must be {rule}, got {value!r}")
+
+
 class StateError(RuntimeError):
     """An operation was called before the state it needs exists."""
 

@@ -6,8 +6,8 @@ treats the previous-epoch logits as constants: no gradient flows to them.
 
 bsce_loss is ce_loss on logits shifted by `log_prior_shift`. ce_loss,
 bsce_loss and soft_ce also take a stack of S batches [S, B, C] (labels
-[S, B]) and then return one value per batch; kl_distill takes the rows of
-several batches one after another with their row `counts`. Either way each
+[S, B]) and then return one value per batch; kl_to_targets takes the rows
+of several batches one after another with their row `counts`. Either way each
 batch's value and gradient are bitwise those of its own call.
 
 They check shapes only: labels in [0, C) (`data.Dataset`), tau >= 1
@@ -119,14 +119,13 @@ def bsce_loss(logits, labels, class_counts) -> LossOutput:
     return ce_loss(arr + log_prior_shift(class_counts, arr.shape[-1]), labels)
 
 
-def kl_distill(prev_logits, cur_logits, tau=1.0, counts=None) -> LossOutput:
+def kl_distill(prev_logits, cur_logits, tau=1.0) -> LossOutput:
     """Temperature-scaled KL(prev || cur), batch mean, with the tau^2 prefactor.
 
     prev_logits is a constant soft target; the gradient (tau * (p_cur -
-    p_prev) / B) flows only to cur_logits. With `counts` (one row count per
-    batch), the rows are several batches one after another.
+    p_prev) / B) flows only to cur_logits.
     """
-    return kl_to_targets(tempered_log_probs(prev_logits, tau), cur_logits, tau, counts)
+    return kl_to_targets(tempered_log_probs(prev_logits, tau), cur_logits, tau)
 
 
 def tempered_log_probs(prev_logits, tau) -> np.ndarray:
@@ -136,7 +135,8 @@ def tempered_log_probs(prev_logits, tau) -> np.ndarray:
 
 def kl_to_targets(logp_prev, cur_logits, tau, counts=None) -> LossOutput:
     """kl_distill from logp_prev = tempered_log_probs(prev_logits, tau)
-    taken beforehand, bit for bit."""
+    taken beforehand, bit for bit. With `counts` (one row count per batch),
+    the rows are several batches one after another."""
     cur = _as_logits(cur_logits)
     if logp_prev.shape != cur.shape:
         raise DimensionError(f"logit shapes differ: {logp_prev.shape} vs {cur.shape}")

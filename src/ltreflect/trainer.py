@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts, conflict, data, losses, nn, reflect
-from .errors import DimensionError, NumericError, ParameterError
+from .errors import DimensionError, NumericError, ParameterError, check
 
 LTR_LOSSES = ("ce", "bsce")
 
@@ -56,15 +56,13 @@ class TrainConfig:
             ("hidden_dim", ">= 1", self.hidden_dim >= 1),
         ]
         flags = {name: flag for flag, name, _, _ in TRAIN_FLAGS}
-        for name, rule, ok in rules:
-            if not ok:
-                raise ParameterError(f"{flags[name]} must be {rule}, got {getattr(self, name)!r}")
+        check((flags[name], rule, ok, getattr(self, name)) for name, rule, ok in rules)
 
 
 # Every TrainConfig field as a `train` flag: (flag, field, type, help), in
 # the order train_echo writes them. bool fields are on/off switches.
 TRAIN_FLAGS = (
-    ("--ltr", "ltr_loss", str, None),
+    ("--ltr", "ltr_loss", str, "ce or bsce"),
     ("--kr", "use_kr", bool, "enable review distillation"),
     ("--ks", "use_ks", bool, "enable similarity soft labels"),
     ("--kc", "use_kc", bool, "enable conflict projection"),
@@ -359,7 +357,6 @@ def train_epoch(
     starts = np.array([start for _, start, _ in spans])
     layer_hits = np.zeros((num_runs, len(spans)))
     sums = np.zeros((num_runs, len(LOSS_NAMES)))
-    conflict_sums = np.zeros(num_runs)
     batches = 0
 
     for start in range(0, n, cfg.batch_size):
@@ -387,7 +384,6 @@ def train_epoch(
             g_ltr, g_aux = grads[..., 0, :], grads[..., 1, :]
             flags = conflict.conflict_stats(g_ltr[aux], g_aux[aux], starts)
             _add(layer_hits, aux, flags)
-            _add(conflict_sums, aux, flags.sum(axis=-1) / flags.shape[-1])
             g_update = g_ltr.copy()
             _add(g_update, aux, g_aux[aux])
             for s in lay.kc:
@@ -427,7 +423,7 @@ def train_epoch(
         EpochMetrics(
             epoch=state.epoch,
             **{f"loss_{name}": float(sums[s, k]) / batches for k, name in enumerate(LOSS_NAMES)},
-            conflict_fraction=float(conflict_sums[s] / batches) if has_aux[s] else 0.0,
+            conflict_fraction=float(layer_hits[s].sum() / len(spans) / batches) if has_aux[s] else 0.0,
             layer_conflict_rates=(
                 {name: float(hits / batches) for (name, _, _), hits in zip(spans, layer_hits[s])}
                 if has_aux[s]
@@ -488,20 +484,25 @@ def write_conflicts_csv(path, history: list[EpochMetrics]) -> None:
     artifacts.write_csv(path, artifacts.CONFLICT_COLUMNS, rows)
 
 
+# The files of a run directory, in the order write_run writes them.
+RUN_FILES = ("metrics.csv", "conflicts.csv", "class_kl.csv", "similarity.csv", "config.echo", "summary.json")
+
+
 def write_run(cfg: TrainConfig, out_dir, result: RunResult, dataset_path, test_path=None) -> dict:
-    """Makes `out_dir`, writes the run's six files and returns the
+    """Makes `out_dir`, writes the run's RUN_FILES and returns the
     summary.json record. Each writer is looked up by its module name when
     called, so a replaced `trainer.write_metrics_csv` is the one that writes.
     `test_path` is --test-data as given: the flag line records it only when
     given, summary.json the test file the run read."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv(out / "metrics.csv", result.history)
-    write_conflicts_csv(out / "conflicts.csv", result.history)
-    reflect.write_class_kl_series(out / "class_kl.csv", result.kl_rows)
-    reflect.write_matrix_csv(out / "similarity.csv", result.similarity)
+    metrics, conflicts, class_kl, similarity, echo_file, summary_file = (out / name for name in RUN_FILES)
+    write_metrics_csv(metrics, result.history)
+    write_conflicts_csv(conflicts, result.history)
+    reflect.write_class_kl_series(class_kl, result.kl_rows)
+    reflect.write_matrix_csv(similarity, result.similarity)
     echo = train_echo(cfg, dataset_path, out_dir, test_path)
-    (out / "config.echo").write_text(echo + "\n")
+    echo_file.write_text(echo + "\n")
     summary = {
         "config": asdict(cfg),
         "dataset": str(Path(dataset_path)),
@@ -510,7 +511,7 @@ def write_run(cfg: TrainConfig, out_dir, result: RunResult, dataset_path, test_p
         "final": {col: getattr(result.history[-1], col) for col in METRIC_COLUMNS},
         "echo": echo,
     }
-    artifacts.write_json(out / "summary.json", summary, strict=False)
+    artifacts.write_json(summary_file, summary, strict=False)
     return summary
 
 
@@ -669,15 +670,11 @@ def _trained_groups(runs, groups, train, test, split):
     pool, broken = None, ()
     if lanes > 1:
         import multiprocessing  # only here: the one-lane path pays no import
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool as broken
 
-        if "fork" not in multiprocessing.get_all_start_methods():
-            parts, lanes = _parts(groups, 1), 1
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool as broken
-
-            # fork: a worker starts with the program imported and OpenBLAS pinned
-            pool = ProcessPoolExecutor(lanes - 1, mp_context=multiprocessing.get_context("fork"))
+        # fork: a worker starts with the program imported and OpenBLAS pinned
+        pool = ProcessPoolExecutor(lanes - 1, mp_context=multiprocessing.get_context("fork"))
     cfgs = [[runs[i][0] for i in members] for _, members in parts]
     try:
         futures = {k: pool.submit(_train_part, cfgs[k], train, test, split)

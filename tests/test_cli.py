@@ -48,11 +48,56 @@ def test_bad_imbalance_factor_is_usage_error(tmp_path, capsys):
         ("--if 0.5", "--if must be >= 1, got 0.5"),
         ("--classes 1", "--classes must be >= 2, got 1"),
         ("--classes 5 --dim 4 --n-max 40",
-         "--n-max 40 must be >= --if 100.0 so the smallest class keeps a sample"),
+         "--n-max must be >= --if (100.0) so the smallest class keeps a sample, got 40"),
     ):
         assert run(["synth", *flags.split(), "--out", str(tmp_path / "x.ltds")]) == 2
         assert capsys.readouterr().err.splitlines() == [f"usage error: {line}"]
         assert not any(tmp_path.iterdir())
+
+
+# One case per `synth` rule, in the order they are checked: the flags and the
+# one usage-error line they give.
+SYNTH_RULES = [
+    ("--seed -1", "--seed must be >= 0, got -1"),
+    ("--class-sep nan", "--class-sep must be finite, got nan"),
+    ("--classes 4294967296", "--classes must be <= 4294967295, got 4294967296"),
+    ("--dim 4294967296", "--dim must be <= 4294967295, got 4294967296"),
+    ("--n-max 4294967296", "--n-max must be <= 4294967295, got 4294967296"),
+    ("--test-size 4294967296", "--test-size must be <= 4294967295, got 4294967296"),
+    ("--classes 1", "--classes must be >= 2, got 1"),
+    ("--if 0.5", "--if must be >= 1, got 0.5"),
+    ("--n-max 40", "--n-max must be >= --if (100.0) so the smallest class keeps a sample, got 40"),
+    ("--test-size 0", "--test-size must be >= 1, got 0"),
+    ("--noise -1", "--noise must be finite and >= 0, got -1.0"),
+    ("--pairs 11", "--pairs must be in [0, 10], got 11"),
+    ("--pairs -1", "--pairs must be in [0, 10], got -1"),
+    ("--overlap 2", "--overlap must be in [0, 1], got 2.0"),
+    ("--dim 1", "--dim must be >= 2, got 1"),
+]
+
+
+@pytest.mark.parametrize("flags, line", SYNTH_RULES, ids=[flags for flags, _ in SYNTH_RULES])
+def test_every_synth_rule_is_one_usage_line_before_the_targets(tmp_path, capsys, flags, line):
+    """Each rule is checked before the targets are: an --out that is an
+    existing directory (a target error, exit 1) still reads as the usage error."""
+    out = tmp_path / "taken"
+    out.mkdir()
+    assert run(["synth", *flags.split(), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err.splitlines()) == ("", [f"usage error: {line}"])
+    assert list(tmp_path.iterdir()) == [out] and not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_an_unknown_ltr_loss_is_one_usage_line(tmp_path, capsys, command):
+    path = synth_tiny(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert run([command, "--data", str(path), "--out", str(out), "--ltr", "foo"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err.splitlines()) == (
+        "", ["usage error: --ltr must be 'ce' or 'bsce', got 'foo'"])
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -590,6 +635,23 @@ def test_analyze_out_that_is_a_directory_is_one_error_line(tmp_path, capsys, com
     assert capsys.readouterr().err.splitlines() == [f"error: output file {out} exists and is a directory"]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*ANALYZABLE, "taken"])
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("name", ["class_kl.csv", "conflicts.csv", "summary.json"])
+@pytest.mark.parametrize("command", ["analyze-kl", "analyze-conflicts"])
+def test_analyze_out_that_is_a_run_file_is_refused(tmp_path, capsys, monkeypatch, command, name):
+    """An --out naming one of the run's own files, as typed or by another
+    path to it, is one error line; every run file keeps its bytes."""
+    for file_name, text in ANALYZABLE.items():
+        (tmp_path / file_name).write_text(text)
+    (tmp_path / "summary.json").write_text("{}\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.chdir(tmp_path)
+    for out in (tmp_path / name, name):
+        assert run([command, "--run", str(tmp_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: output file {out} is a file of run directory {tmp_path}"]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("command, name", [("analyze-kl", "kl_analysis.json"),

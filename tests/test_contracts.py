@@ -33,7 +33,7 @@ def values(flag, dest, kind, default):
     if kind is bool:
         base, edges = [], [[flag]]
     else:
-        choices = trainer.LTR_LOSSES if dest == "ltr_loss" else EDGES[kind]
+        choices = (*trainer.LTR_LOSSES, "foo") if dest == "ltr_loss" else EDGES[kind]
         choices += ("4294967296",) if flag in OVERSIZED else ()
         base, edges = [f"{flag}={BASE.get(dest, default)}"], [[f"{flag}={v}"] for v in choices]
     return st.sampled_from([base] * 9 * len(edges) + edges)
