@@ -1,11 +1,12 @@
 """A minimal dense classifier: one hidden rectifier layer, then a linear
 read-out to the logits (two layers).
 
-Every parameter lives in one flat float64 vector, `ModelParams.flat`, and
-each layer's (weight, bias) is a view into it, laid out in layer order
-(weight then bias per layer). Forward/backward are written out
-analytically; gradients come back as flat vectors in the same layout, so
-the conflict-projection step and the SGD update act on whole vectors.
+A model is its widths `dims = (input, hidden, classes)` and one flat
+float64 vector, `ModelParams.flat`, laid out as `layer_spans()` (weight
+then bias per layer); each layer's (weight, bias) is a view into it.
+Forward/backward are written out analytically; gradients come back as
+flat vectors in the same layout, so the conflict-projection step and the
+SGD update act on whole vectors.
 
 A stack of S models of one shape keeps a run axis first: `flat` is
 [S, P], weights are [S, out, in] views, a batch is [S, B, D], and every
@@ -15,8 +16,6 @@ what it computes alone, bit for bit.
 
 from __future__ import annotations
 
-import copy
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,35 +28,16 @@ class ModelParams:
     """All parameters in one flat vector ([S, P] for a stack of S models);
     `layers` are (weight, bias) views into it."""
 
-    layers: list[tuple[np.ndarray, np.ndarray]]  # (weight [..., out, in], bias [..., out])
-    flat: np.ndarray = field(init=False, repr=False)  # [..., P], laid out as layer_spans()
+    flat: np.ndarray  # [..., P], laid out as layer_spans()
+    dims: tuple[int, int, int]  # (input, hidden, classes)
+    # (weight [..., out, in], bias [..., out]) per layer
+    layers: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.layers = [
-            (np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64))
-            for w, b in self.layers
-        ]
-        if len(self.layers) != 2:
-            raise DimensionError(f"a model has 2 layers, got {len(self.layers)}")
-        lead = self.layers[0][0].shape[:-2]
-        for w, b in self.layers:
-            if w.ndim not in (2, 3) or w.shape[:-2] != lead or b.shape != w.shape[:-1]:
-                raise DimensionError(f"bad layer shapes {w.shape} / {b.shape}")
-            if w.size == 0:
-                # per-layer sums over layer_spans() need every span non-empty
-                raise DimensionError(f"empty layer weight {w.shape}")
-        (w0, _), (w1, _) = self.layers
-        if w1.shape[-1] != w0.shape[-2]:
-            raise DimensionError(f"layer input width {w1.shape[-1]} does not chain from {w0.shape[-2]}")
-        self.flat = np.concatenate(
-            [np.concatenate([w.reshape(*lead, -1), b], axis=-1) for w, b in self.layers], axis=-1
-        )
+        lead = self.flat.shape[:-1]
         views = iter(self.flat[..., start : start + size] for _, start, size in self.layer_spans())
-        self.layers = [(next(views).reshape(w.shape), next(views)) for w, _ in self.layers]
-
-    @property
-    def input_dim(self) -> int:
-        return self.layers[0][0].shape[-1]
+        self.layers = [(next(views).reshape(*lead, fan_out, fan_in), next(views))
+                       for fan_in, fan_out in zip(self.dims, self.dims[1:])]
 
     @property
     def num_params(self) -> int:
@@ -67,28 +47,20 @@ class ModelParams:
         """Name and flat-vector extent of every parameter tensor."""
         spans = []
         offset = 0
-        for i, (w, b) in enumerate(self.layers):
-            size = math.prod(w.shape[-2:])
-            spans.append((f"layer{i}.weight", offset, size))
-            offset += size
-            spans.append((f"layer{i}.bias", offset, b.shape[-1]))
-            offset += b.shape[-1]
+        for i, (fan_in, fan_out) in enumerate(zip(self.dims, self.dims[1:])):
+            for name, size in (("weight", fan_out * fan_in), ("bias", fan_out)):
+                spans.append((f"layer{i}.{name}", offset, size))
+                offset += size
         return spans
 
     def run(self, s: int) -> ModelParams:
         """Model s of a stack, its layers and flat vector views into the stack's."""
-        one = copy.copy(self)
-        one.flat = self.flat[s]
-        one.layers = [(w[s], b[s]) for w, b in self.layers]
-        return one
+        return ModelParams(self.flat[s], self.dims)
 
 
 def stack_params(models: list[ModelParams]) -> ModelParams:
     """Models of one shape as one stack; row s of its flat buffer is models[s].flat."""
-    return ModelParams(
-        layers=[tuple(np.stack(parts) for parts in zip(*layer))
-                for layer in zip(*(m.layers for m in models))]
-    )
+    return ModelParams(np.stack([m.flat for m in models]), models[0].dims)
 
 
 @dataclass
@@ -101,15 +73,15 @@ class ForwardRecord:
 def init_params(
     input_dim: int, num_classes: int, hidden_dim: int, rng: np.random.Generator
 ) -> ModelParams:
-    """Fan-scaled uniform init: U(+-sqrt(6 / (fan_in + fan_out)))."""
-    dims = [input_dim, hidden_dim, num_classes]
-    layers = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+    """Fan-scaled uniform init: U(+-sqrt(6 / (fan_in + fan_out))), drawn
+    weight then bias per layer straight into the flat layout."""
+    dims = (input_dim, hidden_dim, num_classes)
+    draws = []
+    for fan_in, fan_out in zip(dims, dims[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-        b = rng.uniform(-bound, bound, size=fan_out)
-        layers.append((w, b))
-    return ModelParams(layers=layers)
+        draws += [rng.uniform(-bound, bound, size=fan_out * fan_in),
+                  rng.uniform(-bound, bound, size=fan_out)]
+    return ModelParams(np.concatenate(draws), dims)
 
 
 def forward(params: ModelParams, batch) -> ForwardRecord:
@@ -119,9 +91,9 @@ def forward(params: ModelParams, batch) -> ForwardRecord:
     if x.ndim != len(lead) + 2 or x.shape[:-2] != lead:
         want = f"[{lead[0]}, B, D]" if lead else "2-D [B, D]"
         raise DimensionError(f"batch must be {want}, got shape {x.shape}")
-    if x.shape[-1] != params.input_dim:
+    if x.shape[-1] != params.dims[0]:
         raise DimensionError(
-            f"batch has {x.shape[-1]} columns, model expects {params.input_dim}"
+            f"batch has {x.shape[-1]} columns, model expects {params.dims[0]}"
         )
     # a stack's weights transpose per model and its biases broadcast over each batch
     (w0, b0), (w1, b1) = [(w.swapaxes(-1, -2), b[:, None]) if lead else (w.T, b) for w, b in params.layers]

@@ -763,8 +763,10 @@ def run_ablation_grid(
 ) -> list[dict]:
     """All 2^3 component combinations, each over the given seeds, as one run
     set; one aggregated row per cell, also written to ablation.csv. Every
-    cell's config is checked before the first run starts."""
-    out = Path(out_dir)
+    cell's config and the table's target are checked before the first run starts."""
+    out, table = Path(out_dir), Path(out_dir, "ablation.csv")
+    if table.is_dir():  # a table under a file is run_set's run-directory error
+        raise IsADirectoryError(f"ablation table {table} exists and is a directory")
     runs = [
         (replace(base_cfg, use_kr=kr, use_ks=ks, use_kc=kc, seed=seed),
          out / f"kr{int(kr)}_ks{int(ks)}_kc{int(kc)}" / f"seed{seed}")
@@ -776,5 +778,5 @@ def run_ablation_grid(
         finals = [next(summaries)["final"] for _ in seeds]
         means = {f"mean_{k}": v for k, v in artifacts.mean_finals(finals).items()}
         rows.append({"kr": int(kr), "ks": int(ks), "kc": int(kc), "seeds": len(finals), **means})
-    artifacts.write_csv(out / "ablation.csv", list(rows[0]), (row.values() for row in rows))
+    artifacts.write_csv(table, list(rows[0]), (row.values() for row in rows))
     return rows

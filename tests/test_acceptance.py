@@ -303,9 +303,9 @@ def test_criterion_07b_trend_bsce(bsce_pair, report):
         "7b",
         ok,
         f"BSCE+RL vs BSCE: acc_all {all0:.4f}->{all1:.4f}, acc_few {few0:.4f}->{few1:.4f} "
-        f"(need all >= and few +0.010; known-unattainable at desk scale, "
-        f"see decisions ledger: the soft-label loss always carries one unit of "
-        f"unbalanced CE that dilutes the balanced-softmax correction)",
+        f"(need all >= and few +0.010; known red, see ROADMAP item 2: KR alone passes "
+        f"both clauses on synth seeds 1 and 2, and KS costs acc_all in every variant "
+        f"tried, mostly in the medium bucket)",
     )
 
 

@@ -189,6 +189,23 @@ def test_an_out_path_that_is_or_lies_under_a_file_fails_before_the_pair_loads(
     assert sorted(tmp_path.rglob("*")) == before and afile.read_text() == ""
 
 
+def test_ablate_refuses_a_directory_at_its_table_before_the_pair_loads(tmp_path, capsys, monkeypatch):
+    path = synth_tiny(tmp_path)
+    table = tmp_path / "grid" / "ablation.csv"
+    table.mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+
+    def no_load(*args):
+        raise AssertionError("the dataset pair was loaded")
+
+    monkeypatch.setattr(data, "load_dataset", no_load)
+    assert run(["ablate", "--data", str(path), "--out", str(tmp_path / "grid"), "--epochs", "2"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: ablation table {table} exists and is a directory\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 # --- synth ---------------------------------------------------------------------------
 
 

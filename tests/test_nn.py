@@ -10,9 +10,9 @@ from oracles import fd_grad_params, max_rel_err, mse_logits
 
 
 def two_layer_model(w0, b0, w1, b1):
-    return nn.ModelParams(
-        layers=[(np.asarray(w, float), np.asarray(b, float)) for w, b in ((w0, b0), (w1, b1))]
-    )
+    """The model whose flat vector holds w0, b0, w1, b1 in that order."""
+    flat = np.concatenate([np.ravel(a) for a in (w0, b0, w1, b1)]).astype(np.float64)
+    return nn.ModelParams(flat, (np.shape(w0)[1], np.shape(w0)[0], np.shape(w1)[0]))
 
 
 # --- forward ------------------------------------------------------------------
@@ -129,25 +129,25 @@ def test_sgd_step_output_matches_a_rebuilt_model():
     params = nn.init_params(4, 3, 5, rng)
     grad = rng.normal(size=params.num_params)
     nn.sgd_step(params, grad, lr=0.1, momentum=0.9, velocity=np.zeros(params.num_params))
-    rebuilt = nn.ModelParams(layers=[(w.copy(), b.copy()) for w, b in params.layers])
+    rebuilt = nn.ModelParams(params.flat.copy(), params.dims)
     assert np.array_equal(rebuilt.flat, params.flat)
     batch = rng.normal(size=(6, 4))
     assert np.array_equal(nn.forward(rebuilt, batch).logits, nn.forward(params, batch).logits)
 
 
-@pytest.mark.parametrize("num_layers", [0, 1, 3])
-def test_model_needs_two_layers(num_layers):
-    layers = [(np.zeros((3, 3)), np.zeros(3))] * num_layers
-    with pytest.raises(DimensionError, match="a model has 2 layers"):
-        nn.ModelParams(layers=layers)
-
-
-@pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
-def test_model_rejects_zero_size_weights(shape):
-    with pytest.raises(DimensionError, match="empty layer weight"):
-        nn.ModelParams(layers=[(np.zeros(shape), np.zeros(shape[0])), (np.zeros((2, shape[0])), np.zeros(2))])
-    with pytest.raises(DimensionError):
-        nn.init_params(shape[1], shape[0], 4, np.random.default_rng(0))
+def test_init_params_draws_the_flat_vector_in_layer_order():
+    """`flat` is one Generator's uniform draws w0, b0, w1, b1, each weight
+    drawn as an [out, in] array, each at its layer's fan-scaled bound."""
+    dims = (6, 5, 3)
+    params = nn.init_params(6, 3, 5, np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    draws = []
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        draws += [rng.uniform(-bound, bound, size=(fan_out, fan_in)).ravel(),
+                  rng.uniform(-bound, bound, size=fan_out)]
+    assert params.dims == dims
+    assert params.flat.tobytes() == np.concatenate(draws).tobytes()
 
 
 # --- backward -------------------------------------------------------------------

@@ -460,8 +460,9 @@ def test_evaluate_oracle_model_is_perfect():
     ).astype(np.float64)
     # hidden units relu(x) and relu(-x), so the read-out sees x: nearest center wins
     eye = np.eye(dim)
-    params = nn.ModelParams(layers=[(np.vstack([eye, -eye]), np.zeros(2 * dim)),
-                                    (np.hstack([centers, -centers]), -0.5 * (centers**2).sum(axis=1))])
+    flat = np.concatenate([np.vstack([eye, -eye]).ravel(), np.zeros(2 * dim),
+                           np.hstack([centers, -centers]).ravel(), -0.5 * (centers**2).sum(axis=1)])
+    params = nn.ModelParams(flat, (dim, 2 * dim, classes))
     accs, _ = trainer.evaluate(params, test, split)
     assert accs["acc_all"] == 1.0
 
@@ -470,9 +471,8 @@ def test_evaluate_constant_model_hits_chance():
     classes = 5
     test = data.synth_gaussians(classes, 4, np.full(classes, 40), 1.0, 1.0, seed=2)
     split = data.split_classes(np.full(classes, 500))
-    bias = np.zeros(classes)
-    bias[0] = 1.0
-    params = nn.ModelParams(layers=[(np.zeros((3, 4)), np.zeros(3)), (np.zeros((classes, 3)), bias)])
+    params = nn.ModelParams(np.zeros(3 * 4 + 3 + classes * 3 + classes), (4, 3, classes))
+    params.layers[1][1][0] = 1.0  # the read-out bias of class 0
     accs, _ = trainer.evaluate(params, test, split)
     assert accs["acc_all"] == 1.0 / classes
 
