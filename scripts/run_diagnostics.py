@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import argparse
 import shlex
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from ltreflect import artifacts, cli, trainer
+from ltreflect.errors import ParameterError, check
 
 
 def main() -> int:
@@ -25,13 +27,17 @@ def main() -> int:
     ap.add_argument("--seeds", type=int, default=5)
     ap.add_argument("--sigma-aug", type=float, default=0.3)
     args = ap.parse_args()
+    try:  # every flag is checked before anything is written
+        check([("--seeds", ">= 1", args.seeds >= 1, args.seeds)])
+        base = trainer.TrainConfig(sigma_aug=args.sigma_aug)
+    except ParameterError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
 
     args.workdir.mkdir(parents=True, exist_ok=True)
     data_path = args.workdir / "default.ltds"
     if not data_path.exists():
         cli.main(shlex.split(f"synth --seed 0 --out {data_path}"))
-
-    base = trainer.TrainConfig(sigma_aug=args.sigma_aug)
 
     def run_dir(name, seed):
         return args.workdir / name / f"seed{seed}"

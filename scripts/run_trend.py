@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import argparse
 import shlex
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 from ltreflect import artifacts, cli, trainer
+from ltreflect.errors import ParameterError, check
 
 
 def main() -> int:
@@ -27,21 +29,26 @@ def main() -> int:
     ap.add_argument("--alpha", type=float, default=0.95)
     ap.add_argument("--tau", type=float, default=2.0)
     args = ap.parse_args()
+    try:  # every flag is checked before anything is written
+        check([("--seeds", ">= 1", args.seeds >= 1, args.seeds)])
+        base = trainer.TrainConfig(
+            epochs=args.epochs,
+            batch_size=args.batch,
+            lr=args.lr,
+            sigma_aug=args.sigma_aug,
+            alpha=args.alpha,
+            tau=args.tau,
+            hidden_dim=args.hidden,
+        )
+    except ParameterError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
 
     args.workdir.mkdir(parents=True, exist_ok=True)
     data_path = args.workdir / "default.ltds"
     if not data_path.exists():
         cli.main(shlex.split(f"synth --seed 0 --out {data_path}"))
 
-    base = trainer.TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch,
-        lr=args.lr,
-        sigma_aug=args.sigma_aug,
-        alpha=args.alpha,
-        tau=args.tau,
-        hidden_dim=args.hidden,
-    )
     variants = {
         "ce": replace(base, ltr_loss="ce"),
         "ce+rl": replace(base, ltr_loss="ce", use_kr=True, use_ks=True, use_kc=True),

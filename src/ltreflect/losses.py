@@ -10,9 +10,9 @@ bsce_loss and soft_ce also take a stack of S batches [S, B, C] (labels
 of several batches one after another with their row `counts`. Either way each
 batch's value and gradient are bitwise those of its own call.
 
-They check shapes only: labels in [0, C) (`data.Dataset`), tau >= 1
-(`trainer.TrainConfig`) and non-negative soft targets (cosines of ReLU
-features) are checked where they enter.
+They check shapes only: labels in [0, C) and class counts >= 1
+(`data.Dataset`), tau >= 1 (`trainer.TrainConfig`) and non-negative soft
+targets (cosines of ReLU features) are checked where they enter.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError
 
 
 @dataclass
@@ -106,8 +106,6 @@ def log_prior_shift(class_counts, num_classes: int) -> np.ndarray:
     counts = np.asarray(class_counts, dtype=np.float64)
     if counts.shape != (num_classes,):
         raise DimensionError(f"class_counts must have length {num_classes}, got shape {counts.shape}")
-    if (counts <= 0).any():
-        raise ParameterError("all class counts must be positive")
     log_prior = np.log(counts)
     return log_prior - log_prior.max()
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifacts
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError
 from .losses import LossOutput, kl_to_targets, tempered_log_probs
 from .losses import _as_logits, _log_softmax
 
@@ -43,8 +43,9 @@ def empty_cache(num_samples: int, num_classes: int) -> EpochCache:
 
 
 def cache_update(cache: EpochCache, indices, logits, labels) -> None:
-    """Store logits rows at dataset positions and refresh their correctness.
-    `indices` [B] or a stack [S, B] of cache rows (`trainer._rows`), `logits` [..., B, C].
+    """Store logits rows at their cache rows and refresh their correctness:
+    the lockstep stack kr_batch_loss reads, [S, B] rows (`trainer._rows`)
+    and [S, B, C] logits; rows of any other index shape are written alike.
 
     Argmax ties resolve to the lowest class index, so the correctness mask
     is reproducible.
@@ -54,31 +55,28 @@ def cache_update(cache: EpochCache, indices, logits, labels) -> None:
 
 
 def kr_batch_loss(cache: EpochCache, indices, cur_logits, tau) -> LossOutput:
-    """Distillation toward the cached predictions, restricted to rows the
-    previous epoch classified correctly; the mean is over qualifying rows.
-    Rows outside the filter get exactly-zero gradient. A stack of batches
-    ([S, B] indices, [S, B, C] logits) returns one value per batch, the
-    .sum() of exactly its kept rows. The cache must hold review targets:
+    """Distillation toward the cached predictions for a lockstep stack of S
+    batches: [S, B] cache rows (`trainer._rows`) and [S, B, C] logits. Each
+    batch keeps the rows the previous epoch classified correctly, and its
+    value in the [S] values is the .sum() of exactly its kept rows over
+    their count, 0.0 with none kept. Rows outside the filter get
+    exactly-zero gradient. The cache must hold review targets:
     `temper(cache, tau)` ran this epoch with the same tau, as `train_epoch`
-    does before the first read. Tempering is row-wise, so each row's bits
-    equal kl_distill's on the batch.
+    does before the first read. Tempering is row-wise, so each batch's bits
+    equal kl_distill's on its kept raw rows.
     """
-    idx = np.asarray(indices, dtype=np.intp)
-    cur = np.asarray(cur_logits, dtype=np.float64)
-    stacked = idx.ndim == 2
-    rows, cur_rows = idx, cur
-    if stacked:  # the batches' rows end to end, as one batch's would be
-        rows, cur_rows = idx.ravel(), cur.reshape(-1, cur.shape[-1])
+    # the batches' rows end to end, as one batch's would be
+    rows, cur = indices.ravel(), cur_logits.reshape(-1, cur_logits.shape[-1])
     mask = cache.correct_mask[rows]
-    dlogits = np.zeros_like(cur_rows)
-    counts = mask.reshape(idx.shape).sum(axis=1) if stacked and len(idx) > 1 else None
+    dlogits = np.zeros_like(cur)
+    counts = mask.reshape(indices.shape).sum(axis=1) if len(indices) > 1 else None
     if mask.any():
-        out = kl_to_targets(cache.prev_logits[rows[mask]], cur_rows[mask], tau, counts)
+        out = kl_to_targets(cache.prev_logits[rows[mask]], cur[mask], tau, counts)
         dlogits[mask] = out.dlogits
-        value = np.array([out.value]) if stacked and counts is None else out.value  # a stack of one
+        value = out.value if counts is not None else np.array([out.value])  # a stack of one
     else:
-        value = np.zeros(len(idx)) if stacked else 0.0
-    return LossOutput(value, dlogits.reshape(cur.shape) if stacked else dlogits)
+        value = np.zeros(len(indices))
+    return LossOutput(value, dlogits.reshape(cur_logits.shape))
 
 
 class FeatureStore:
@@ -144,8 +142,9 @@ def per_class_adjacent_kl(prev_logits, cur_logits, labels, num_classes: int) -> 
     over all rows. Every step of a row's KL is row-wise, so its bits do not
     depend on the rows beside it, and a class's mean is the `.sum()` of its
     rows' values in their order over its row count (np.add.reduceat or
-    np.bincount weights would sum them differently). Every class needs a
-    row: a `data.Dataset` invariant."""
+    np.bincount weights would sum them differently). Labels in [0, C) and
+    a row for every class are `data.Dataset` invariants, so only shapes
+    are checked here."""
     prev = _as_logits(prev_logits)
     cur = _as_logits(cur_logits)
     lab = np.asarray(labels)
@@ -153,13 +152,7 @@ def per_class_adjacent_kl(prev_logits, cur_logits, labels, num_classes: int) -> 
         raise DimensionError(f"logit shapes differ: {prev.shape} vs {cur.shape}")
     if lab.shape != prev.shape[:1]:
         raise DimensionError(f"labels shape {lab.shape} must match {prev.shape[0]} logit rows")
-    if lab.size and (lab.min() < 0 or lab.max() >= num_classes):
-        raise ParameterError(
-            f"labels must lie in [0, {num_classes}), got range [{lab.min()}, {lab.max()}]"
-        )
     counts = np.bincount(lab, minlength=num_classes)
-    if not counts.all():
-        raise ParameterError(f"class {np.argmin(counts)} has no row")
     logp_prev, logp_cur = _log_softmax(prev), _log_softmax(cur)
     kl = np.exp(logp_prev)  # p_prev
     # 0 * log 0 := 0 (p_prev underflows to 0 before logp_prev hits -inf)

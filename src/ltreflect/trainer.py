@@ -316,19 +316,14 @@ def assemble_batch_losses(
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def train_epoch(
-    state: TrainerState,
-    dataset: data.Dataset,
-    on_step=None,
-) -> tuple[TrainerState, list[EpochMetrics]]:
+def train_epoch(state: TrainerState, dataset: data.Dataset) -> tuple[TrainerState, list[EpochMetrics]]:
     """One shuffled pass of every run of the group, in lockstep: each step
     makes one stacked forward, one loss assembly, one backward, one
     conflict_stats and one sgd_step for all runs. It builds only the memory
-    something reads: the prediction cache with KR, the
-    class medians and soft labels every epoch with KS and otherwise only in
-    the final epoch (whose similarity matrix the run directory holds). The
-    metrics, one per run, carry the losses and conflict rates; run_set adds
-    the accuracies. `on_step` gets each run's gradients after every step.
+    something reads: the prediction cache with KR, the class medians and
+    soft labels every epoch with KS and otherwise only in the final epoch
+    (whose similarity matrix the run directory holds). The metrics, one per
+    run, carry the losses and conflict rates; run_set adds the accuracies.
     Floating-point warnings are off: a non-finite loss raises instead,
     naming the first in (run, ltr/kr/ks) order, as does a non-finite
     gradient (`nn.sgd_step`)."""
@@ -378,8 +373,7 @@ def train_epoch(
 
         grads = nn.backward(state.params, rec, dlogits)
         if aux is None:
-            g_ltr = g_update = grads
-            g_aux = None
+            g_update = grads
         else:
             g_ltr, g_aux = grads[..., 0, :], grads[..., 1, :]
             flags = conflict.conflict_stats(g_ltr[aux], g_aux[aux], starts)
@@ -399,10 +393,6 @@ def train_epoch(
             )
         if store is not None:
             store.add(_rows(idx, medians, store_rows), rec.features[medians])
-        if on_step is not None:
-            for s in range(num_runs):
-                on_step({"run": s, "g_ltr": g_ltr[s], "g_update": g_update[s],
-                         "g_aux": g_aux[s] if has_aux[s] else None})
         batches += 1
 
     if last:
@@ -583,19 +573,6 @@ def _openblas():
     return None
 
 
-@functools.cache
-def _openblas_threads():
-    """(get, set) of the loaded OpenBLAS's thread count (`_openblas`); None
-    without one."""
-    symbol = _openblas()
-    if symbol is None:
-        return None
-    get, put = symbol("get_num_threads"), symbol("set_num_threads")
-    get.argtypes, get.restype = [], ctypes.c_int
-    put.argtypes, put.restype = [ctypes.c_int], None
-    return get, put
-
-
 @contextlib.contextmanager
 def _one_blas_thread():
     """Runs the block with OpenBLAS at one thread, then restores the
@@ -603,11 +580,12 @@ def _one_blas_thread():
     splits its sums, so a pinned run writes the same bits on any machine;
     on a run's small matmuls a second thread mostly spins. Without an
     OpenBLAS setter the block runs unpinned."""
-    blas = _openblas_threads()
-    if blas is None:
+    symbol = _openblas()
+    if symbol is None:
         yield
         return
-    get, put = blas
+    # int -> int, ctypes' default prototype
+    get, put = symbol("get_num_threads"), symbol("set_num_threads")
     before = get()
     put(1)
     try:

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ltreflect import artifacts, cli, data, losses, nn, reflect, trainer
+from ltreflect import artifacts, cli, conflict, data, losses, nn, reflect, trainer
 from ltreflect.conflict import project_if_conflict
 
 from oracles import baseline_run, cos_angle, fd_grad_params, max_rel_err, mse_logits
@@ -221,10 +221,10 @@ def test_criterion_04_cci_zero_rows_full_epoch(report):
     for start in range(0, n, cfg.batch_size):
         idx = order[start : start + cfg.batch_size]
         cur = rng.normal(size=(len(idx), c))
-        out = reflect.kr_batch_loss(cache, idx, cur, cfg.tau)
+        out = reflect.kr_batch_loss(cache, idx[None], cur[None], cfg.tau)
         wrong_rows = ~cache.correct_mask[idx]
-        all_zero &= bool((out.dlogits[wrong_rows] == 0.0).all())
-        all_zero &= bool((out.dlogits[~wrong_rows] != 0.0).any())
+        all_zero &= bool((out.dlogits[0][wrong_rows] == 0.0).all())
+        all_zero &= bool((out.dlogits[0][~wrong_rows] != 0.0).any())
     report(4, all_zero, "filtered rows carry exactly-zero review gradient across one epoch")
 
 
@@ -327,7 +327,7 @@ def test_criterion_08_divergence_diagnostic(divergence_runs, report):
 # --- 9: conflict diagnostic ---------------------------------------------------------------------
 
 
-def test_criterion_09_conflict_diagnostic(grid, workdir, default_dataset, report):
+def test_criterion_09_conflict_diagnostic(grid, workdir, default_dataset, report, monkeypatch):
     shares = []
     for s in SEEDS:
         run_dir = workdir / "grid" / "kr1_ks1_kc0" / f"seed{s}"
@@ -338,14 +338,20 @@ def test_criterion_09_conflict_diagnostic(grid, workdir, default_dataset, report
     train = data.load_dataset(default_dataset)
     cfg = trend_config(use_kr=True, use_ks=True, use_kc=True, epochs=10)
     state = trainer.init_state([cfg], train)
-    worst = [0.0]
+    worst, calls = [0.0], [0]
 
-    def check(step):
-        if step["g_aux"] is not None:
-            worst[0] = min(worst[0], cos_angle(step["g_update"] - step["g_ltr"], step["g_ltr"]))
+    def check(g_ltr, g_aux):
+        # every KC update: without a conflict the trainer's row g_ltr + g_aux
+        # is this call's g_aux + g_ltr, bit for bit
+        update, conflicted = project_if_conflict(g_ltr, g_aux)
+        worst[0] = min(worst[0], cos_angle(update - g_ltr, g_ltr))
+        calls[0] += 1
+        return update, conflicted
 
+    monkeypatch.setattr(conflict, "project_if_conflict", check)
     for _ in range(cfg.epochs):
-        state, _ = trainer.train_epoch(state, train, on_step=check)
+        state, _ = trainer.train_epoch(state, train)
+    assert calls[0] > 0
     opposition_ok = worst[0] >= -1e-9
     report(
         9,

@@ -306,6 +306,8 @@ def test_dataset_invariants_rejected_in_memory():
         (3, [0, 0, 1], [1, 2]),  # ascending counts + frequency mismatch
         (5, [0, 0, 0, 1, 1], [3, 2, 0]),  # a class with no samples
         (0, [], []),  # no classes, no samples
+        (3, [0, 0, 2], [2, 1]),  # a label >= C
+        (3, [0, 0, -1], [2, 1]),  # a negative label
     ]
     for n, labels, counts in cases:
         with pytest.raises(ParameterError):

@@ -5,15 +5,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def script(name, *args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def run_script(name, *args):
+    proc = script(name, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
@@ -33,3 +39,17 @@ def test_run_diagnostics_reports_each_diagnostic(tmp_path):
     assert len(lines[-3].split()) == 3 + 20  # "per-class mean KL:" and one value per class
     assert lines[-2].startswith("mean KL: ce ")
     assert lines[-1].startswith("conflict fraction (KR+KS, no correction): mean ")
+
+
+@pytest.mark.parametrize(
+    "name, flags",
+    [("run_trend.py", "--seeds 0"), ("run_trend.py", "--epochs 0"), ("run_diagnostics.py", "--seeds 0")],
+    ids=["trend-seeds", "trend-epochs", "diagnostics-seeds"],
+)
+def test_a_bad_flag_is_one_usage_line_before_anything_is_written(tmp_path, name, flags):
+    workdir = tmp_path / "work"
+    proc = script(name, "--workdir", str(workdir), *flags.split())
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: "), proc.stderr
+    assert not workdir.exists()

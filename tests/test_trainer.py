@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltreflect import artifacts, cli, data, nn, reflect, trainer
+from ltreflect import artifacts, cli, conflict, data, nn, reflect, trainer
 from ltreflect.errors import NumericError, ParameterError
 
 from oracles import baseline_run, cos_angle, serial_run
@@ -259,11 +259,9 @@ def test_a_set_makes_one_backward_per_lockstep_step(monkeypatch):
     cfgs = [tiny_cfg(**FULL_STACK, epochs=2, seed=seed) for seed in range(4)]
     state, _ = trainer.train_epoch(trainer.init_state(cfgs, train), train)
     calls = recording(monkeypatch, nn, "backward")
-    steps = []
-    trainer.train_epoch(state, train, on_step=steps.append)
-    assert all(step["g_aux"] is not None for step in steps)
+    trainer.train_epoch(state, train)
+    assert all(dlogits.ndim == 4 and dlogits.shape[1] == 2 for _, _, dlogits in calls)  # [S, K, B, C]
     assert len(calls) == math.ceil(train.num_samples / cfgs[0].batch_size)
-    assert len(steps) == len(cfgs) * len(calls)
 
 
 def test_full_stack_epoch_runs_one_backward_per_batch(monkeypatch):
@@ -271,10 +269,9 @@ def test_full_stack_epoch_runs_one_backward_per_batch(monkeypatch):
     cfg = tiny_cfg(**FULL_STACK, epochs=2)
     state, _ = trainer.train_epoch(trainer.init_state([cfg], train), train)
     calls = recording(monkeypatch, nn, "backward")
-    steps = []
-    trainer.train_epoch(state, train, on_step=steps.append)
-    assert all(step["g_aux"] is not None for step in steps)
-    assert len(calls) == len(steps)
+    trainer.train_epoch(state, train)
+    assert all(dlogits.ndim == 4 and dlogits.shape[1] == 2 for _, _, dlogits in calls)  # [S, K, B, C]
+    assert len(calls) == math.ceil(train.num_samples / cfg.batch_size)
 
 
 # --- loss bookkeeping ----------------------------------------------------------------
@@ -411,21 +408,26 @@ def test_non_finite_loss_aborts_with_diagnostic():
 # --- conflict correction in the loop ---------------------------------------------------
 
 
-def test_kc_update_never_opposes_task_gradient():
+def test_kc_update_never_opposes_task_gradient(monkeypatch):
+    """Every KC update the trainer takes, conflicted or not, comes from
+    project_if_conflict: without a conflict the row it keeps, g_ltr + g_aux,
+    is the function's g_aux + g_ltr bit for bit."""
     train, test, split = tiny_sets()
     cfg = tiny_cfg(use_kr=True, use_ks=True, use_kc=True)
     state = trainer.init_state([cfg], train)
     seen_aux = 0
+    project = conflict.project_if_conflict
 
-    def check(step):
+    def check(g_ltr, g_aux):
         nonlocal seen_aux
-        if step["g_aux"] is None:
-            return
         seen_aux += 1
-        assert cos_angle(step["g_update"] - step["g_ltr"], step["g_ltr"]) >= -1e-9
+        update, conflicted = project(g_ltr, g_aux)
+        assert cos_angle(update - g_ltr, g_ltr) >= -1e-9
+        return update, conflicted
 
+    monkeypatch.setattr(conflict, "project_if_conflict", check)
     for _ in range(cfg.epochs):
-        state, _ = trainer.train_epoch(state, train, on_step=check)
+        state, _ = trainer.train_epoch(state, train)
     assert seen_aux > 0
 
 
@@ -440,7 +442,7 @@ def test_kr_rows_for_previously_wrong_samples_get_zero_gradient():
     if not wrong.any():
         pytest.skip("previous epoch classified everything correctly")
     idx = np.flatnonzero(wrong)[:4]
-    out = reflect.kr_batch_loss(cache, idx, np.zeros((len(idx), train.num_classes)), cfg.tau)
+    out = reflect.kr_batch_loss(cache, idx[None], np.zeros((1, len(idx), train.num_classes)), cfg.tau)
     assert np.array_equal(out.dlogits, np.zeros_like(out.dlogits))
 
 
@@ -601,7 +603,7 @@ def test_runs_of_a_set_share_no_state(tmp_path):
 # --- the run's BLAS thread count ---------------------------------------------------
 
 needs_openblas = pytest.mark.skipif(
-    trainer._openblas_threads() is None,
+    trainer._openblas() is None,
     reason="this numpy has no OpenBLAS thread setter, so its runs go unpinned",
 )
 
@@ -610,7 +612,8 @@ needs_openblas = pytest.mark.skipif(
 def blas_threads():
     """The loaded OpenBLAS's (get, set), with the count set to 2 for the
     test and the process's own count restored after it."""
-    get, put = trainer._openblas_threads()
+    symbol = trainer._openblas()
+    get, put = symbol("get_num_threads"), symbol("set_num_threads")
     before = get()
     put(2)
     yield get, put
@@ -661,7 +664,7 @@ def test_a_run_without_an_openblas_setter_goes_unpinned_and_writes_the_same_file
     cfg = tiny_cfg(use_kr=True, use_ks=True, use_kc=True, epochs=3)
     for name in ("pinned", "unpinned"):
         if name == "unpinned":
-            monkeypatch.setattr(trainer, "_openblas_threads", lambda: None)
+            monkeypatch.setattr(trainer, "_openblas", lambda: None)
         (tmp_path / name).mkdir()
         monkeypatch.chdir(tmp_path / name)
         trainer.run_experiment(cfg, train_path, "run")
