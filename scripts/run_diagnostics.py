@@ -9,35 +9,30 @@ class rarity, (b) how much the review loss shrinks that divergence, and
 
 from __future__ import annotations
 
-import argparse
-import shlex
-import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from ltreflect import artifacts, cli, trainer
-from ltreflect.errors import ParameterError, check
+from ltreflect.errors import check
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = cli.Parser(description=__doc__)
     ap.add_argument("--workdir", type=Path, default=Path("diag_out"))
     ap.add_argument("--seeds", type=int, default=5)
     ap.add_argument("--sigma-aug", type=float, default=0.3)
     args = ap.parse_args()
-    try:  # every flag is checked before anything is written
-        check([("--seeds", ">= 1", args.seeds >= 1, args.seeds)])
-        base = trainer.TrainConfig(sigma_aug=args.sigma_aug)
-    except ParameterError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+    # every flag is checked before anything is written
+    check([("--seeds", ">= 1", args.seeds >= 1, args.seeds)])
+    base = trainer.TrainConfig(sigma_aug=args.sigma_aug)
 
     args.workdir.mkdir(parents=True, exist_ok=True)
     data_path = args.workdir / "default.ltds"
     if not data_path.exists():
-        cli.main(shlex.split(f"synth --seed 0 --out {data_path}"))
+        if code := cli.main(["synth", "--seed", "0", "--out", str(data_path)]):
+            return code
 
     def run_dir(name, seed):
         return args.workdir / name / f"seed{seed}"
@@ -63,4 +58,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(cli.exit_code(main))

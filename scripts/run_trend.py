@@ -7,18 +7,15 @@ seeds and prints the per-bucket accuracy deltas.
 
 from __future__ import annotations
 
-import argparse
-import shlex
-import sys
 from dataclasses import replace
 from pathlib import Path
 
 from ltreflect import artifacts, cli, trainer
-from ltreflect.errors import ParameterError, check
+from ltreflect.errors import check
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = cli.Parser(description=__doc__)
     ap.add_argument("--workdir", type=Path, default=Path("trend_out"))
     ap.add_argument("--seeds", type=int, default=5)
     ap.add_argument("--epochs", type=int, default=40)
@@ -29,25 +26,23 @@ def main() -> int:
     ap.add_argument("--alpha", type=float, default=0.95)
     ap.add_argument("--tau", type=float, default=2.0)
     args = ap.parse_args()
-    try:  # every flag is checked before anything is written
-        check([("--seeds", ">= 1", args.seeds >= 1, args.seeds)])
-        base = trainer.TrainConfig(
-            epochs=args.epochs,
-            batch_size=args.batch,
-            lr=args.lr,
-            sigma_aug=args.sigma_aug,
-            alpha=args.alpha,
-            tau=args.tau,
-            hidden_dim=args.hidden,
-        )
-    except ParameterError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+    # every flag is checked before anything is written
+    check([("--seeds", ">= 1", args.seeds >= 1, args.seeds)])
+    base = trainer.TrainConfig(
+        epochs=args.epochs,
+        batch_size=args.batch,
+        lr=args.lr,
+        sigma_aug=args.sigma_aug,
+        alpha=args.alpha,
+        tau=args.tau,
+        hidden_dim=args.hidden,
+    )
 
     args.workdir.mkdir(parents=True, exist_ok=True)
     data_path = args.workdir / "default.ltds"
     if not data_path.exists():
-        cli.main(shlex.split(f"synth --seed 0 --out {data_path}"))
+        if code := cli.main(["synth", "--seed", "0", "--out", str(data_path)]):
+            return code
 
     variants = {
         "ce": replace(base, ltr_loss="ce"),
@@ -78,4 +73,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(cli.exit_code(main))

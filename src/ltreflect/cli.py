@@ -2,9 +2,11 @@
 
 Commands: synth (write a long-tail dataset pair), train (one run),
 ablate (2^3 component grid), analyze-kl / analyze-conflicts (post-hoc
-summaries of a run directory). Exit codes: 0 success, 2 usage error,
-1 runtime error. Every run echoes its fully resolved flag line, which can
-be fed back verbatim to reproduce the run.
+summaries of a run directory). Every entry point, the scripts' too, parses
+with `Parser` and exits through `exit_code`: 0 success or --help, 2 and one
+`usage error:` line (argparse's refusals in its own words), 1 and one
+`error:` line for a runtime error. Every run echoes its fully resolved flag
+line, which can be fed back verbatim to reproduce the run.
 """
 
 from __future__ import annotations
@@ -39,12 +41,20 @@ SYNTH_FLAGS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose refusals, its sub-parsers' included, raise
+    ParameterError in argparse's words instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise ParameterError(message)
+
+
+def build_parser() -> Parser:
+    parser = Parser(
         prog="ltreflect",
         description="Long-tail training engine with review/summary/correction regularizers.",
     )
-    sub = parser.add_subparsers(dest="cmd")
+    sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("synth", help="synthesize a long-tail train set and balanced test set")
     for flag, dest, kind, default, help_text in SYNTH_FLAGS:
@@ -76,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_train_flags(p: argparse.ArgumentParser, components: bool = True) -> None:
+def _add_train_flags(p: Parser, components: bool = True) -> None:
     """--data, --test-data and the TRAIN_FLAGS; bool switches only with `components`."""
     defaults = trainer.TrainConfig()
     p.add_argument("--data", required=True, help="train dataset file")
@@ -204,26 +214,30 @@ def cmd_analyze_conflicts(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def exit_code(command) -> int:
+    """Runs `command()` and returns its exit code, writing one stderr line on a
+    failure: 2 `usage error:` for a ParameterError, 1 `error:` for a runtime
+    error. A line break in the message is written as `\\n`."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        return command()
+    except SystemExit as exc:  # argparse's exit after --help
         return int(exc.code or 0)
-    if getattr(args, "cmd", None) is None:
-        parser.print_usage(sys.stderr)
-        return 2
-    try:
-        return args.func(args)
     except ParameterError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        code, line = 2, f"usage error: {exc}"
     except (DimensionError, FormatError, StateError, NumericError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, line = 1, f"error: {exc}"
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
-        return 1
+        code, line = 1, f"error: out of memory: {exc}" if str(exc) else "error: out of memory"
+    print("\\n".join(line.splitlines()), file=sys.stderr)
+    return code
+
+
+def main(argv=None) -> int:
+    def run():
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+
+    return exit_code(run)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,12 @@
+import argparse
+import ast
 import dataclasses
 import hashlib
 import json
 import shlex
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,12 +37,48 @@ def synth_tiny(tmp_path):
 # --- exit codes and flag validation ------------------------------------------------
 
 
-def test_no_args_is_usage_error(capsys):
-    assert run([]) == 2
+# argvs that fail before anything is written: (argv, exit code, a word the one
+# stderr line names). Refusals keep argparse's wording after `usage error: `.
+REFUSED = {
+    "no-command": ([], 2, "cmd"),
+    "no-flags": (["train"], 2, "--data, --out"),
+    "no-value": (["train", "--data", "p", "--out", "z", "--ltr"], 2, "--ltr"),
+    "unparsed-value": (["synth", "--out", "y", "--pairs", "1.5"], 2, "'1.5'"),
+    "unparsed-epochs": (["train", "--data", "p", "--out", "z", "--epochs", "abc"], 2, "'abc'"),
+    "unknown-flag": (["train", "--data", "x", "--out", "y", "--frobnicate"], 2, "--frobnicate"),
+    "unknown-flag-value": (["train", "--data", "p", "--out", "z", "--bogus", "1"], 2, "--bogus 1"),
+    "unknown-command": (["frobnicate"], 2, "'frobnicate'"),
+    "newline-path": (["train", "--data", "no\nsuch", "--out", "z"], 1, "no\\nsuch"),
+}
 
 
-def test_unknown_flag_rejected():
-    assert run(["train", "--data", "x", "--out", "y", "--frobnicate"]) == 2
+@pytest.mark.parametrize("argv, code, word", REFUSED.values(), ids=REFUSED)
+def test_a_refused_argv_is_one_stderr_line_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                              argv, code, word):
+    """No usage block: one `usage error:` (exit 2) or `error:` (exit 1) line,
+    with a line break in the message written as `\\n`."""
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert captured.out == "" and line.startswith("usage error: " if code == 2 else "error: ")
+    assert word in line and not any(tmp_path.iterdir())
+
+
+def test_only_cli_parser_names_argparse_argument_parser():
+    """Every entry point parses with `cli.Parser`, whose refusals leave through
+    `cli.exit_code`; only its class statement may name ArgumentParser."""
+    root = Path(__file__).resolve().parents[1]
+    named = []
+    for path in [*sorted(root.glob("src/ltreflect/*.py")), *sorted(root.glob("scripts/*.py"))]:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {id(n) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   and (path.name, node.name) == ("cli.py", "Parser")
+                   for base in node.bases for n in ast.walk(base)}
+        named += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if id(n) not in allowed
+                  and "ArgumentParser" in (getattr(n, "attr", None), getattr(n, "id", None),
+                                           getattr(n, "name", None))]
+    assert named == [] and cli.Parser.__bases__ == (argparse.ArgumentParser,)
 
 
 def test_bad_imbalance_factor_is_usage_error(tmp_path, capsys):

@@ -2,7 +2,8 @@
 no exception leaves `cli.main`, no warning is raised, a failure prints one
 stderr line, and a usage error writes nothing. The `train`, `ablate` and
 `synth` strategies are built from `trainer.TRAIN_FLAGS` and
-`cli.SYNTH_FLAGS`, so a new flag is fuzzed with no edit here.
+`cli.SYNTH_FLAGS`, so a new flag is fuzzed with no edit here. One draw in
+two also carries one argv that argparse itself refuses.
 """
 
 import collections
@@ -53,6 +54,14 @@ COMMANDS = st.one_of(
     argv_of(SYNTH_ROWS).map(lambda argv: ("synth", argv)),
     argv_of(ABLATE_ROWS).map(lambda argv: ("ablate", argv)),
 )
+# A refusal: arbitrary text as the value of --seed (every command takes it, and
+# no value of it that parses is costly to run), one required flag dropped, or
+# one token that is no flag of the command (its prefix keeps a draw from ever
+# naming --out). None for a command drawn as is.
+REQUIRED = ("--data", "--out")
+REFUSALS = st.one_of(st.text().map("--seed={}".format), st.sampled_from(REQUIRED),
+                     st.text().map("--no-such-{}".format))
+REFUSAL = st.booleans().flatmap(lambda refused: REFUSALS if refused else st.none())
 
 
 def main_quietly(argv):
@@ -74,13 +83,19 @@ def test_every_generated_command_keeps_the_cli_contract(tmp_path, monkeypatch):
     codes = collections.Counter()
 
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
-    @given(COMMANDS)
-    @example(("train", ["--epochs=2", "--lr=1e308"]))  # a run that diverges: exit 1
-    def check(command):
+    @given(COMMANDS, REFUSAL)
+    @example(("train", ["--epochs=2", "--lr=1e308"]), None)  # a run that diverges: exit 1
+    @example(("train", []), "--seed=1\n2")
+    @example(("ablate", []), "--seed=\x00")
+    @example(("synth", []), "--no-such-a\nb")  # argparse does not quote an unknown token
+    def check(command, refusal):
         name, argv = command
         out = tmp_path / f"e{next(serial)}"
-        where, data = (out / "s.ltds", []) if name == "synth" else (out / "run", ["--data", str(pair)])
-        code, err, caught = main_quietly([name, *data, *argv, "--out", str(where)])
+        required = {"--out": str(out / "s.ltds")} if name == "synth" else {
+            "--data": str(pair), "--out": str(out / "run")}
+        required.pop(refusal, None)
+        added = [] if refusal in (None, *REQUIRED) else [refusal]
+        code, err, caught = main_quietly([name, *itertools.chain(*required.items()), *argv, *added])
         assert code in (0, 1, 2) and caught == []
         if code:
             assert len(err) == 1 and err[0].startswith(("usage error: ", "error: ")), err
